@@ -25,8 +25,8 @@ func NewRNG(seed uint64) *RNG {
 }
 
 // NewStream returns a generator for substream `stream` of `seed`:
-// independent, order-stable per-worker streams (seed + node index for
-// the parallel NUMA core, seed + thread id for workload generation).
+// independent, order-stable per-worker streams (seed + thread id for
+// workload generation).
 //
 // The derivation is deliberately nonlinear. The obvious
 // `NewRNG(seed*C1 + stream*C2)` construction aliases: because the mix
