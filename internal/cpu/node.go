@@ -176,6 +176,10 @@ type Result struct {
 	ARQOccupancy float64
 	// RouterLocal/Global/Remote are the routing counts.
 	RouterLocal, RouterGlobal, RouterRemote uint64
+	// RemoteSent counts requests the node's threads issued to another
+	// node's memory; RemoteServed counts targets the node served for
+	// other nodes' threads. Both stay 0 on a lone node.
+	RemoteSent, RemoteServed uint64
 }
 
 // IPC returns retired instructions per cycle across the node.
@@ -212,7 +216,10 @@ func (r *Result) RPC() float64 {
 	return float64(r.MemRequests) / float64(r.Cycles)
 }
 
-// Node wires threads, router, coalescer and device together.
+// Node wires threads, router, coalescer and device together: one tile
+// of the paper's §3 system. Threads are homed round-robin, so node
+// Router.NodeID of Router.Nodes runs global thread t at index
+// t / Router.Nodes.
 type Node struct {
 	cfg    Config
 	router *core.Router
@@ -220,6 +227,10 @@ type Node struct {
 	// mac is coal when the run uses the MAC, else nil — for
 	// occupancy sampling on cycles where the coalescer is not ticked.
 	mac *core.MAC
+	// rec is coal's recycling hook when it offers one: fully consumed
+	// Builts hand their target slabs back, keeping the pop path
+	// allocation-free.
+	rec memreq.Recycler
 	dev *hmc.Device
 
 	threads []*threadState
@@ -237,11 +248,16 @@ type Node struct {
 	// every use is nil-safe so the hot path pays only pointer checks.
 	obs *obs.Obs
 
-	// watchdog aborts a run that stops making forward progress.
-	watchdog *sim.Watchdog
 	// progress counts retirements + submissions + deliveries; any
-	// movement re-arms the watchdog.
+	// movement re-arms the machine's watchdog.
 	progress uint64
+
+	// fab carries Global/Remote traffic to the other nodes of a
+	// Machine; nil on a lone node.
+	fab noc.Fabric[payload]
+	// respOut parks response messages the fabric refused (routed
+	// topologies backpressure injection); drained before requests.
+	respOut []noc.Message[payload]
 
 	// audit is the request-lifecycle ledger; nil when disabled, and
 	// every call is nil-safe like the obs handle.
@@ -268,6 +284,8 @@ type Node struct {
 	retriedRequests  uint64
 	retireUnderflows uint64
 	misrouted        uint64
+	remoteSent       uint64
+	remoteServed     uint64
 }
 
 // reqKey identifies one in-flight raw request.
@@ -299,14 +317,15 @@ func NewNode(cfg Config, coal memreq.Coalescer, dev *hmc.Device) (*Node, error) 
 		return nil, fmt.Errorf("cpu: %w", err)
 	}
 	mac, _ := coal.(*core.MAC)
+	rec, _ := coal.(memreq.Recycler)
 	return &Node{
-		cfg:      cfg,
-		router:   router,
-		coal:     coal,
-		mac:      mac,
-		dev:      dev,
-		resp:     core.NewResponseRouter(cfg.TargetBufferDepth),
-		watchdog: sim.NewWatchdog(cfg.StallLimit),
+		cfg:    cfg,
+		router: router,
+		coal:   coal,
+		mac:    mac,
+		rec:    rec,
+		dev:    dev,
+		resp:   core.NewResponseRouter(cfg.TargetBufferDepth),
 	}, nil
 }
 
@@ -329,7 +348,8 @@ func (n *Node) EnableAudit() {
 	}
 }
 
-// SetChaos attaches a chaos engine (nil disables). Call before Run.
+// SetChaos attaches a chaos engine (nil disables). Call before Run;
+// Run declares the device's cube links to it.
 func (n *Node) SetChaos(e *chaos.Engine) { n.chaos = e }
 
 // SetRetry installs the requester-side poison-recovery policy. Call
@@ -395,44 +415,29 @@ func (n *Node) Load(tr *trace.Trace) error {
 	return nil
 }
 
-// Run replays the loaded trace to completion and returns the results.
-// A run that stops making forward progress for Config.StallLimit
-// cycles aborts with a *StallError carrying a diagnostic dump.
+// Run replays the loaded trace to completion as the one-node machine,
+// with no fabric, and returns the results. A run that stops making
+// forward progress for Config.StallLimit cycles aborts with a
+// *StallError carrying a diagnostic dump.
 func (n *Node) Run() (*Result, error) {
-	for now := sim.Cycle(0); now < n.cfg.MaxCycles; now++ {
-		n.tickChaos(now)
-		n.pumpRetries(now)
-		n.tickCores(now)
-		n.drainRouter(now)
-		n.tickCoalescer(now)
-		n.deliverResponses(now)
-		n.obs.Rec().Sample(uint64(now))
-		if n.drained() {
-			return n.result(now + 1), nil
-		}
-		if n.watchdog.Check(now, n.progress) {
-			return nil, n.stallError(now)
-		}
+	m := newMachine([]*Node{n}, n.chaos)
+	m.obs = n.obs
+	rs, err := m.Run()
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("cpu: run exceeded MaxCycles=%d (deadlock?)", n.cfg.MaxCycles)
+	return rs[0], nil
 }
 
-// tickChaos rolls the chaos engine for this cycle and applies the
-// stressors that act on the request/device side: transient vault
-// unavailability and synthetic fence bursts. (Response-side stressors
-// act through chaos.Filter in deliverResponses; submit freezes through
-// SubmitFrozen in tickCoalescer.) A fence that meets a full router
-// queue is dropped — the backpressure it found is already stress.
-func (n *Node) tickChaos(now sim.Cycle) {
-	if n.chaos == nil {
-		return
-	}
-	n.chaos.Tick(now)
+// tickChaos applies the node-side stressors the machine's engine rolled
+// this cycle: transient vault unavailability and synthetic fence
+// bursts. (Response-side stressors act through chaos.Filter in
+// deliverResponses; submit freezes through SubmitFrozen in
+// tickCoalescer.) A fence that meets a full router queue is dropped —
+// the backpressure it found is already stress.
+func (n *Node) tickChaos() {
 	if v, until, ok := n.chaos.TakeVaultStall(); ok {
 		n.dev.StallVault(v, until)
-	}
-	if l, until, ok := n.chaos.TakeCubeLinkStall(); ok {
-		n.dev.StallCubeLink(l, until)
 	}
 	for n.chaos.TakeFence() {
 		if !n.router.OfferLocal(memreq.RawRequest{Fence: true}) {
@@ -460,7 +465,8 @@ func (n *Node) pumpRetries(now sim.Cycle) {
 	n.retryPend = keep
 }
 
-// tickCores advances every thread by one cycle.
+// tickCores advances every thread by one cycle, rotating issue
+// priority across them.
 func (n *Node) tickCores(now sim.Cycle) {
 	for i := range n.threads {
 		t := n.threads[(i+n.issueRR)%len(n.threads)]
@@ -543,6 +549,9 @@ func (n *Node) tickThread(t *threadState, now sim.Cycle) {
 	t.retired++
 	n.progress++
 	n.memRequests++
+	if n.router.Dest(req.Addr) != n.cfg.Router.NodeID {
+		n.remoteSent++
+	}
 	n.audit.Issue(req, now)
 	if n.retry.Enabled() {
 		n.inflightReq[reqKey{req.Thread, req.Tag}] = &reqAttempt{req: req}
@@ -556,11 +565,6 @@ func (n *Node) advance(t *threadState) {
 	if t.pc < len(t.events) {
 		t.gapLeft = uint32(t.events[t.pc].Gap)
 	}
-}
-
-// drainRouter feeds the coalescer (one raw request per cycle, §4.1).
-func (n *Node) drainRouter(now sim.Cycle) {
-	n.router.DrainToMAC(n.coal, now)
 }
 
 // tickCoalescer advances the coalescer and submits built transactions.
@@ -589,17 +593,24 @@ func (n *Node) tickCoalescer(now sim.Cycle) {
 		return
 	}
 	for _, b := range n.coal.Tick(now) {
-		bb := b
-		tag, ok := n.resp.Register(&bb, now)
-		if !ok {
-			n.deferred = append(n.deferred, bb)
-			continue
+		if !n.submit(b, now) {
+			n.deferred = append(n.deferred, b)
 		}
-		n.bindTargets(&bb, tag, now)
-		bb.Span.MarkSubmit(uint64(now))
-		n.dev.Submit(bb.Req, now)
-		n.progress++
 	}
+}
+
+// submit registers a built transaction in the target buffer and hands
+// it to the device; false means the target buffer is full.
+func (n *Node) submit(b memreq.Built, now sim.Cycle) bool {
+	tag, ok := n.resp.Register(&b, now)
+	if !ok {
+		return false
+	}
+	n.bindTargets(&b, tag, now)
+	b.Span.MarkSubmit(uint64(now))
+	n.dev.Submit(b.Req, now)
+	n.progress++
+	return true
 }
 
 // bindTargets records in the ledger which device transaction carries
@@ -629,16 +640,7 @@ func (n *Node) sampleCoalescer() {
 // submitDeferred retries transactions previously refused by a full
 // target buffer, in their original order.
 func (n *Node) submitDeferred(now sim.Cycle) {
-	for len(n.deferred) > 0 && n.dev.CanAccept() {
-		bb := n.deferred[0]
-		tag, ok := n.resp.Register(&bb, now)
-		if !ok {
-			return
-		}
-		n.bindTargets(&bb, tag, now)
-		bb.Span.MarkSubmit(uint64(now))
-		n.dev.Submit(bb.Req, now)
-		n.progress++
+	for len(n.deferred) > 0 && n.dev.CanAccept() && n.submit(n.deferred[0], now) {
 		n.deferred = n.deferred[1:]
 	}
 }
@@ -666,51 +668,13 @@ func (n *Node) deliverResponses(now sim.Cycle) {
 		n.obs.Trace().Transaction(resp.Tag, b.Span)
 		poisoned := status == core.RespPoisoned
 		for _, tgt := range b.Targets {
-			if tgt.Cont {
-				// Continuation half of a window-split request: its
-				// data is delivered, but the head half owns the
-				// request's one LSQ slot and latency observation. A
-				// poisoned continuation is degraded data loss — the
-				// head's transaction is independently live, so the
-				// request cannot be re-issued without risking a
-				// double delivery; the ledger waives its bytes.
-				if poisoned {
-					n.audit.Forgive(tgt, now)
-				} else {
-					n.audit.Credit(tgt, b.Req.Addr, b.Req.Data, now)
+			if n.fab != nil {
+				if home := int(tgt.Thread) % n.cfg.Router.Nodes; home != n.cfg.Router.NodeID {
+					n.returnRemote(home, tgt, b.Req.Kind, poisoned, now)
+					continue
 				}
-				continue
 			}
-			if int(tgt.Thread) >= len(n.threads) {
-				n.misrouted++
-				continue
-			}
-			if poisoned && n.scheduleRetry(tgt, now) {
-				// The LSQ slot stays occupied and issuedAt keeps the
-				// original issue cycle: the request's latency spans
-				// its retries, and fences keep waiting for it.
-				continue
-			}
-			t := n.threads[tgt.Thread]
-			if t.outstanding <= 0 {
-				n.retireUnderflows++
-				continue
-			}
-			t.outstanding--
-			if poisoned {
-				n.failedRequests++
-				n.audit.Fail(tgt, now)
-			} else {
-				n.audit.Credit(tgt, b.Req.Addr, b.Req.Data, now)
-				n.audit.Retire(tgt, now)
-			}
-			if n.retry.Enabled() {
-				delete(n.inflightReq, reqKey{tgt.Thread, tgt.Tag})
-			}
-			if issue, ok := t.issuedAt[tgt.Tag]; ok {
-				t.latency.Observe(uint64(now - issue))
-				delete(t.issuedAt, tgt.Tag)
-			}
+			n.retire(tgt, b.Req.Addr, b.Req.Data, poisoned, now)
 		}
 		if n.dupDeliver && !poisoned {
 			// Test-only injected bug: replay the audit-visible
@@ -723,6 +687,64 @@ func (n *Node) deliverResponses(now sim.Cycle) {
 				n.audit.Retire(tgt, now)
 			}
 		}
+		// Every target has been consumed (retired here or copied into
+		// a response message) and the span recorded: hand the
+		// transaction's slab back to the coalescer.
+		if n.rec != nil {
+			n.rec.Recycle(b)
+		}
+	}
+}
+
+// retire lands one target of a transaction (txAddr, txBytes) at its
+// thread's home node, n: directly when n served it, or when the
+// response arrives over the fabric.
+func (n *Node) retire(tgt memreq.Target, txAddr uint64, txBytes uint32, poisoned bool, now sim.Cycle) {
+	if tgt.Cont {
+		// Continuation half of a window-split request: its data is
+		// delivered, but the head half owns the request's one LSQ slot
+		// and latency observation. A poisoned continuation is degraded
+		// data loss — the head's transaction is independently live, so
+		// the request cannot be re-issued without risking a double
+		// delivery; the ledger waives its bytes.
+		if poisoned {
+			n.audit.Forgive(tgt, now)
+		} else {
+			n.audit.Credit(tgt, txAddr, txBytes, now)
+		}
+		return
+	}
+	i := int(tgt.Thread) / n.cfg.Router.Nodes
+	if i >= len(n.threads) {
+		n.misrouted++
+		return
+	}
+	if poisoned && n.scheduleRetry(tgt, now) {
+		// The LSQ slot stays occupied and issuedAt keeps the original
+		// issue cycle: the request's latency spans its retries, and
+		// fences keep waiting for it.
+		return
+	}
+	t := n.threads[i]
+	if t.outstanding <= 0 {
+		n.retireUnderflows++
+		return
+	}
+	t.outstanding--
+	n.progress++
+	if poisoned {
+		n.failedRequests++
+		n.audit.Fail(tgt, now)
+	} else {
+		n.audit.Credit(tgt, txAddr, txBytes, now)
+		n.audit.Retire(tgt, now)
+	}
+	if n.retry.Enabled() {
+		delete(n.inflightReq, reqKey{tgt.Thread, tgt.Tag})
+	}
+	if issue, ok := t.issuedAt[tgt.Tag]; ok {
+		t.latency.Observe(uint64(now - issue))
+		delete(t.issuedAt, tgt.Tag)
 	}
 }
 
@@ -746,7 +768,7 @@ func (n *Node) scheduleRetry(tgt memreq.Target, now sim.Cycle) bool {
 // drained reports whether all work has retired.
 func (n *Node) drained() bool {
 	if n.router.Pending() > 0 || n.coal.Pending() > 0 || n.coal.Inflight() > 0 ||
-		n.dev.Pending() > 0 || len(n.deferred) > 0 ||
+		n.dev.Pending() > 0 || len(n.deferred) > 0 || len(n.respOut) > 0 ||
 		n.chaos.HeldResponses() > 0 || len(n.retryPend) > 0 {
 		return false
 	}
@@ -770,6 +792,8 @@ func (n *Node) result(cycles sim.Cycle) *Result {
 		RetriedRequests:  n.retriedRequests,
 		RetireUnderflows: n.retireUnderflows,
 		Misrouted:        n.misrouted,
+		RemoteSent:       n.remoteSent,
+		RemoteServed:     n.remoteServed,
 	}
 	if n.audit.Enabled() {
 		r.Audit = n.audit.Finish(cycles)
@@ -799,14 +823,17 @@ func (n *Node) result(cycles sim.Cycle) *Result {
 // response delivered for more than the watchdog's stall limit —
 // typically a lost response or a resource leak. It carries the state
 // a post-mortem needs instead of letting the run spin to MaxCycles.
+// On a multi-node machine the counts are summed across nodes, the
+// oldest transaction is the oldest on any node, and the dump has one
+// line per node.
 type StallError struct {
 	// Cycle is when the watchdog fired.
 	Cycle sim.Cycle
 	// StallLimit is the configured no-progress bound.
 	StallLimit sim.Cycle
 	// OldestTxTag/OldestTxAge identify the longest-outstanding
-	// transaction in the response router's target buffer (the prime
-	// suspect for a lost response); OldestTxAge is 0 when the target
+	// transaction in a response router's target buffer (the prime
+	// suspect for a lost response); OldestTxAge is 0 when every target
 	// buffer is empty.
 	OldestTxTag uint64
 	OldestTxAge sim.Cycle
@@ -841,39 +868,39 @@ func (e *StallError) Error() string {
 		e.StallLimit, e.Cycle, e.Dump)
 }
 
-// stallError snapshots the node state into a *StallError.
-func (n *Node) stallError(now sim.Cycle) error {
-	e := &StallError{
-		Cycle:             now,
-		StallLimit:        n.cfg.StallLimit,
-		OutstandingTx:     n.resp.Pending(),
-		DeferredTx:        len(n.deferred),
-		RouterPending:     n.router.Pending(),
-		CoalescerPending:  n.coal.Pending(),
-		CoalescerInflight: n.coal.Inflight(),
-		DevicePending:     n.dev.Pending(),
-	}
+// stallReport adds the node's state at a stall into e and returns the
+// node's diagnostic lines.
+func (n *Node) stallReport(e *StallError, now sim.Cycle) []stats.KV {
+	blocked := 0
 	for _, t := range n.threads {
 		if !t.done() {
-			e.ThreadsBlocked++
+			blocked++
 		}
 	}
+	e.ThreadsBlocked += blocked
+	e.RouterPending += n.router.Pending()
+	e.CoalescerPending += n.coal.Pending()
+	e.CoalescerInflight += n.coal.Inflight()
+	e.DevicePending += n.dev.Pending()
+	e.OutstandingTx += n.resp.Pending()
+	e.DeferredTx += len(n.deferred)
 	kvs := []stats.KV{
-		{Key: "threads blocked", Value: e.ThreadsBlocked},
-		{Key: "request router pending", Value: e.RouterPending},
-		{Key: "coalescer pending (ARQ)", Value: e.CoalescerPending},
-		{Key: "coalescer inflight", Value: e.CoalescerInflight},
-		{Key: "device pending", Value: e.DevicePending},
-		{Key: "target buffer outstanding", Value: e.OutstandingTx},
-		{Key: "deferred transactions", Value: e.DeferredTx},
+		{Key: "threads blocked", Value: blocked},
+		{Key: "request router pending", Value: n.router.Pending()},
+		{Key: "coalescer pending (ARQ)", Value: n.coal.Pending()},
+		{Key: "coalescer inflight", Value: n.coal.Inflight()},
+		{Key: "device pending", Value: n.dev.Pending()},
+		{Key: "target buffer outstanding", Value: n.resp.Pending()},
+		{Key: "deferred transactions", Value: len(n.deferred)},
 	}
 	if tag, registered, b, ok := n.resp.Oldest(); ok {
-		e.OldestTxTag = tag
-		e.OldestTxAge = now - registered
-		e.OldestTxAddr = b.Req.Addr
+		age := now - registered
+		if age >= e.OldestTxAge {
+			e.OldestTxTag, e.OldestTxAge, e.OldestTxAddr = tag, age, b.Req.Addr
+		}
 		kvs = append(kvs,
 			stats.KV{Key: "oldest in-flight tag", Value: tag},
-			stats.KV{Key: "oldest in-flight age", Value: fmt.Sprintf("%d cycles", e.OldestTxAge)},
+			stats.KV{Key: "oldest in-flight age", Value: fmt.Sprintf("%d cycles", age)},
 			stats.KV{Key: "oldest in-flight request", Value: fmt.Sprintf("%s 0x%x (%dB, %d targets)",
 				b.Req.Kind, b.Req.Addr, b.Req.Data, len(b.Targets))},
 		)
@@ -887,7 +914,7 @@ func (n *Node) stallError(now sim.Cycle) error {
 		)
 	}
 	if n.audit.Enabled() {
-		e.AuditInFlight = n.audit.InFlight()
+		e.AuditInFlight += n.audit.InFlight()
 		counts := n.audit.HolderCounts()
 		for _, s := range []audit.State{
 			audit.StateRouted, audit.StateCoalescing,
@@ -901,13 +928,11 @@ func (n *Node) stallError(now sim.Cycle) error {
 			}
 		}
 		if o, ok := n.audit.Oldest(); ok {
-			e.AuditOldest = o.String()
-			kvs = append(kvs, stats.KV{Key: "audit: oldest in-flight request", Value: e.AuditOldest})
+			if e.AuditOldest == "" {
+				e.AuditOldest = o.String()
+			}
+			kvs = append(kvs, stats.KV{Key: "audit: oldest in-flight request", Value: o.String()})
 		}
 	}
-	if cs := n.chaos.Stats(); cs != nil {
-		kvs = append(kvs, stats.KV{Key: "chaos", Value: cs.String()})
-	}
-	e.Dump = stats.FormatKV(kvs)
-	return e
+	return kvs
 }

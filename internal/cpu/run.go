@@ -153,10 +153,6 @@ func Run(cfg RunConfig, tr *trace.Trace) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Routed cube fabrics expose their intra-cube links to the
-	// cubelink stressor; the ideal cube reports 0 and the roll stays
-	// gated off, preserving pre-cube RNG schedules.
-	eng.SetCubeLinks(dev.CubeLinks())
 	n.SetChaos(eng)
 	if err := n.Load(tr); err != nil {
 		return nil, err

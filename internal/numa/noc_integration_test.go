@@ -4,48 +4,8 @@ import (
 	"testing"
 
 	"mac3d/internal/chaos"
-	"mac3d/internal/memreq"
 	"mac3d/internal/noc"
-	"mac3d/internal/sim"
 )
-
-// TestSaturatedRemoteQueueKeepsPerSourceFIFO runs the RAQ-saturating
-// shape and asserts, via the router drain hook, that every node sees
-// each thread's requests in issue (tag) order. The pre-NoC model
-// violated this under saturation: a delivery refused by a full Remote
-// Access Queue was re-queued one cycle out, and a younger same-source
-// message due earlier could pop past it.
-func TestSaturatedRemoteQueueKeepsPerSourceFIFO(t *testing.T) {
-	s, err := NewSystem(saturatedCase.config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Load(saturatedCase.tr()); err != nil {
-		t.Fatal(err)
-	}
-	lastTag := map[[2]int]int{}
-	for _, nd := range s.nodes {
-		nd := nd
-		nd.router.OnDrain = func(req memreq.RawRequest, _ sim.Cycle) {
-			if req.Fence {
-				return
-			}
-			key := [2]int{nd.id, int(req.Thread)}
-			if prev, ok := lastTag[key]; ok && int(req.Tag) <= prev {
-				t.Errorf("node %d drained thread %d tag %d after tag %d",
-					nd.id, req.Thread, req.Tag, prev)
-			}
-			lastTag[key] = int(req.Tag)
-		}
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NoC.DeliverRetries == 0 {
-		t.Fatal("expected the Remote Access Queue to refuse deliveries in this run")
-	}
-}
 
 // TestRingMeshDiverge runs the same 16-node workload on a ring and a
 // mesh and requires the topologies to be distinguishable: different
