@@ -51,9 +51,7 @@ func TestNullPassThroughOneToOne(t *testing.T) {
 }
 
 func TestNullIssueRate(t *testing.T) {
-	cfg := DefaultNullConfig()
-	cfg.IssuePerCycle = 1
-	n := NewNull(cfg)
+	n := NewNull(DefaultNullConfig())
 	for i := 0; i < 5; i++ {
 		n.Push(memreq.RawRequest{Addr: uint64(i * 4096), Size: 8}, 0)
 	}

@@ -8,7 +8,6 @@ import (
 	"mac3d/internal/hmc"
 	"mac3d/internal/memreq"
 	"mac3d/internal/obs"
-	"mac3d/internal/queue"
 	"mac3d/internal/sim"
 )
 
@@ -91,8 +90,8 @@ type fillEntry struct {
 // there is no spatial aggregation beyond the line, and cold or
 // streaming workloads pay full fill traffic.
 type MemCache struct {
+	frontend
 	cfg   MemCacheConfig
-	q     *queue.FIFO[memreq.RawRequest]
 	cache *cache.Cache
 
 	// threshold is DirectFraction scaled to 32 bits: a row is direct
@@ -101,17 +100,9 @@ type MemCache struct {
 
 	fills    map[uint64]*fillEntry
 	freeFill []*fillEntry
-
-	// slabs pools target slices handed out in Builts.
-	slabs [][]memreq.Target
-
-	heldFence bool
-	inflight  int
-	st        *memreq.Stats
 }
 
 var _ memreq.Coalescer = (*MemCache)(nil)
-var _ memreq.Recycler = (*MemCache)(nil)
 var _ obs.Attacher = (*MemCache)(nil)
 
 // NewMemCache builds the die-stacked frontend, returning an error on
@@ -127,14 +118,13 @@ func NewMemCache(cfg MemCacheConfig) (*MemCache, error) {
 		return nil, err
 	}
 	mc := &MemCache{
+		frontend:  newFrontend(cfg.QueueDepth, cfg.MaxMerges),
 		cfg:       cfg,
-		q:         queue.New[memreq.RawRequest](cfg.QueueDepth),
 		cache:     tags,
 		threshold: uint64(cfg.DirectFraction * float64(1<<32)),
 		fills:     make(map[uint64]*fillEntry, cfg.MaxFills),
-		st:        memreq.NewStats(),
 	}
-	mc.st.MemCache = &memreq.MemCacheStats{}
+	mc.Stats().MemCache = &memreq.MemCacheStats{}
 	return mc, nil
 }
 
@@ -152,28 +142,6 @@ func (mc *MemCache) direct(a uint64) bool {
 	return mix64(addr.RowNumber(a))>>32 < mc.threshold
 }
 
-// takeTargets returns a pooled target slice seeded with t.
-func (mc *MemCache) takeTargets(t memreq.Target) []memreq.Target {
-	if n := len(mc.slabs); n > 0 {
-		s := mc.slabs[n-1]
-		mc.slabs = mc.slabs[:n-1]
-		return append(s, t)
-	}
-	return append(make([]memreq.Target, 0, mc.cfg.MaxMerges), t)
-}
-
-// Recycle implements memreq.Recycler: a fully consumed Built hands its
-// target slab back to the pool.
-func (mc *MemCache) Recycle(b *memreq.Built) {
-	if b == nil || b.Targets == nil {
-		return
-	}
-	if cap(b.Targets) > 0 {
-		mc.slabs = append(mc.slabs, b.Targets[:0])
-	}
-	b.Targets = nil
-}
-
 // takeFill returns a pooled (or fresh) empty fill entry.
 func (mc *MemCache) takeFill() *fillEntry {
 	if n := len(mc.freeFill); n > 0 {
@@ -187,49 +155,6 @@ func (mc *MemCache) takeFill() *fillEntry {
 		late = make([]memreq.Target, 0, mc.cfg.MaxMerges-1)
 	}
 	return &fillEntry{late: late}
-}
-
-// Push offers one raw request; it reports acceptance.
-func (mc *MemCache) Push(r memreq.RawRequest, now sim.Cycle) bool {
-	if !mc.q.Push(r) {
-		mc.st.PushRejects++
-		return false
-	}
-	switch {
-	case r.Fence:
-		mc.st.Fences++
-	case r.Atomic:
-		mc.st.RawRequests++
-		mc.st.RawAtomics++
-	case r.Store:
-		mc.st.RawRequests++
-		mc.st.RawStores++
-	default:
-		mc.st.RawRequests++
-		mc.st.RawLoads++
-	}
-	return true
-}
-
-// passThrough builds the raw-path transaction for one request — the
-// same FLIT rounding the Null design applies.
-func (mc *MemCache) passThrough(r memreq.RawRequest, kind hmc.Kind) memreq.Built {
-	base := r.Addr &^ uint64(addr.FlitMask)
-	size := uint32(r.Addr-base) + uint32(r.Size)
-	if size == 0 {
-		size = 1
-	}
-	if rem := size % addr.FlitBytes; rem != 0 {
-		size += addr.FlitBytes - rem
-	}
-	b := memreq.Built{
-		Req: hmc.Request{Kind: kind, Addr: base, Data: size},
-		Targets: mc.takeTargets(memreq.Target{
-			Thread: r.Thread, Tag: r.Tag, Flit: addr.FlitID(r.Addr),
-		}),
-	}
-	b.Req.Normalize()
-	return b
 }
 
 // covered reports whether r's FLIT span lies inside the dispatched
@@ -253,67 +178,33 @@ func (mc *MemCache) covered(fe *fillEntry, r memreq.RawRequest) bool {
 // partition, serve it from the stacked cache, merge it onto an
 // in-flight fill, or allocate a fill (plus a writeback when the victim
 // line is dirty).
-func (mc *MemCache) Tick(now sim.Cycle) []memreq.Built {
-	if mc.heldFence {
-		if mc.inflight != 0 {
-			return nil
-		}
-		mc.heldFence = false
-	}
-	head, ok := mc.q.Peek()
+func (mc *MemCache) Tick(sim.Cycle) []memreq.Built {
+	head, ok := mc.head()
 	if !ok {
 		return nil
 	}
-
-	switch {
-	case head.Fence:
+	st := mc.Stats()
+	if head.Atomic {
 		mc.q.Pop()
-		mc.heldFence = true
-		return nil
-
-	case head.Atomic:
-		mc.q.Pop()
-		b := memreq.Built{
-			Req: hmc.Request{
-				Kind: hmc.AtomicOp,
-				Addr: head.Addr &^ uint64(addr.FlitMask),
-				Data: addr.FlitBytes,
-			},
-			Targets: mc.takeTargets(memreq.Target{
-				Thread: head.Thread, Tag: head.Tag, Flit: addr.FlitID(head.Addr),
-			}),
-			Bypassed: true,
-		}
-		b.Req.Normalize()
-		mc.noteDispatch(&b)
-		return []memreq.Built{b}
+		return []memreq.Built{mc.single(head, true)}
 	}
-
 	if mc.direct(head.Addr) {
 		mc.q.Pop()
-		kind := hmc.Read
-		if head.Store {
-			kind = hmc.Write
-		}
-		b := mc.passThrough(head, kind)
-		mc.st.MemCache.DirectAccesses++
-		mc.noteDispatch(&b)
-		return []memreq.Built{b}
+		st.MemCache.DirectAccesses++
+		return []memreq.Built{mc.single(head, false)}
 	}
 
 	probe := head.Addr & addr.PhysMask
 	line := probe &^ uint64(mc.cfg.LineBytes-1)
-	tgt := memreq.Target{Thread: head.Thread, Tag: head.Tag, Flit: addr.FlitID(head.Addr)}
-
 	if fe := mc.fills[line]; fe != nil {
 		if 1+len(fe.late) < mc.cfg.MaxMerges && mc.covered(fe, head) {
 			// Hit under miss: ride the in-flight fill, no new traffic.
 			mc.q.Pop()
-			fe.late = append(fe.late, tgt)
+			fe.late = append(fe.late, head.Target())
 			if head.Store {
 				mc.cache.MarkDirty(probe)
 			}
-			mc.st.MemCache.MergedMisses++
+			st.MemCache.MergedMisses++
 			return nil
 		}
 		// Merge budget or coverage exhausted: structural stall until
@@ -329,20 +220,14 @@ func (mc *MemCache) Tick(now sim.Cycle) []memreq.Built {
 	hit, evicted, evictedDirty := mc.cache.AccessDirty(probe, head.Store)
 	if hit {
 		// Served by the stacked cache: one short stacked access.
-		kind := hmc.Read
-		if head.Store {
-			kind = hmc.Write
-		}
-		b := mc.passThrough(head, kind)
-		mc.st.MemCache.Hits++
-		mc.noteDispatch(&b)
-		return []memreq.Built{b}
+		st.MemCache.Hits++
+		return []memreq.Built{mc.single(head, false)}
 	}
 
 	// Miss: fetch the whole line (write-allocate), extended when the
 	// access spills past the line end so the target's FLIT span is
 	// covered.
-	mc.st.MemCache.Misses++
+	st.MemCache.Misses++
 	end := probe + uint64(head.Size)
 	if head.Size == 0 {
 		end = probe + 1
@@ -359,44 +244,30 @@ func (mc *MemCache) Tick(now sim.Cycle) []memreq.Built {
 	mc.fills[line] = fe
 	b := memreq.Built{
 		Req:     hmc.Request{Kind: hmc.Read, Addr: line, Data: size},
-		Targets: mc.takeTargets(tgt),
+		Targets: mc.Take(head.Target()),
 		Handle:  fe,
 	}
-	b.Req.Normalize()
-	mc.noteDispatch(&b)
+	mc.CountEmit(&b)
 	out := []memreq.Built{b}
 
 	if evictedDirty {
 		// The victim line held stores: write it back. The transaction
 		// retires no raw request (zero targets).
-		mc.st.MemCache.Writebacks++
+		st.MemCache.Writebacks++
 		wb := memreq.Built{
 			Req: hmc.Request{Kind: hmc.Write, Addr: evicted, Data: mc.cfg.LineBytes},
 		}
-		wb.Req.Normalize()
-		mc.noteDispatch(&wb)
+		mc.CountEmit(&wb)
 		out = append(out, wb)
 	}
 	return out
-}
-
-func (mc *MemCache) noteDispatch(b *memreq.Built) {
-	mc.st.Transactions++
-	if b.Bypassed {
-		mc.st.Bypassed++
-	}
-	mc.st.BuiltBySizeBytes[b.Req.Data]++
-	mc.inflight++
 }
 
 // Completed frees the fill entry of a finished line fetch and folds any
 // targets merged after dispatch into the transaction's target list so
 // the caller's response routing delivers them too.
 func (mc *MemCache) Completed(b *memreq.Built) {
-	if mc.inflight == 0 {
-		panic("coalesce: MemCache.Completed without matching emission")
-	}
-	mc.inflight--
+	mc.frontend.Completed(b)
 	if fe, ok := b.Handle.(*fillEntry); ok && fe != nil {
 		if len(fe.late) > 0 {
 			// A pooled Targets has cap MaxMerges and dispatch + late
@@ -406,39 +277,21 @@ func (mc *MemCache) Completed(b *memreq.Built) {
 		delete(mc.fills, fe.line)
 		mc.freeFill = append(mc.freeFill, fe)
 	}
-	mc.st.TargetsPerTx.Observe(uint64(len(b.Targets)))
+	mc.Stats().TargetsPerTx.Observe(uint64(len(b.Targets)))
 }
-
-// Pending returns queued raw requests (including a held fence).
-func (mc *MemCache) Pending() int {
-	p := mc.q.Len()
-	if mc.heldFence {
-		p++
-	}
-	return p
-}
-
-// Inflight returns dispatched transactions not yet completed.
-func (mc *MemCache) Inflight() int { return mc.inflight }
-
-// Stats returns the accumulated statistics.
-func (mc *MemCache) Stats() *memreq.Stats { return mc.st }
 
 // CacheStats returns the stacked tag array's counters.
 func (mc *MemCache) CacheStats() cache.Stats { return mc.cache.Stats() }
 
 // Reset restores the initial empty state (the pools survive).
 func (mc *MemCache) Reset() {
-	mc.q.Reset()
+	mc.frontend.Reset()
 	mc.cache.Reset()
 	for line, fe := range mc.fills {
 		mc.freeFill = append(mc.freeFill, fe)
 		delete(mc.fills, line)
 	}
-	mc.heldFence = false
-	mc.inflight = 0
-	mc.st = memreq.NewStats()
-	mc.st.MemCache = &memreq.MemCacheStats{}
+	mc.Stats().MemCache = &memreq.MemCacheStats{}
 }
 
 // AttachObs registers the frontend's fill-table and queue state into a

@@ -8,7 +8,6 @@ import (
 	"mac3d/internal/hmc"
 	"mac3d/internal/memreq"
 	"mac3d/internal/obs"
-	"mac3d/internal/queue"
 	"mac3d/internal/sim"
 )
 
@@ -70,28 +69,20 @@ type mshrEntry struct {
 // do, and in software a bounded allocation-free probe. The previous
 // map representation allocated on every miss and rehashed under churn,
 // which dominated the per-cycle profile. Per-slot late lists are
-// preallocated arenas, and Built target lists come from a recycling
-// slab pool (see Recycle).
+// preallocated arenas, and Built target lists come from the
+// frontend's recycling slab pool.
 type MSHR struct {
+	frontend
 	cfg MSHRConfig
-	q   *queue.FIFO[memreq.RawRequest]
 
 	// entries is the fixed register file; used is its occupancy
 	// bitset (bit i set -> entries[i] holds an outstanding miss).
 	entries []mshrEntry
 	used    []uint64
 	count   int
-
-	// slabs is the free pool of target slices handed out in Builts.
-	slabs [][]memreq.Target
-
-	heldFence bool
-	inflight  int
-	st        *memreq.Stats
 }
 
 var _ memreq.Coalescer = (*MSHR)(nil)
-var _ memreq.Recycler = (*MSHR)(nil)
 
 // NewMSHR builds the conventional coalescer, panicking on bad config.
 func NewMSHR(cfg MSHRConfig) *MSHR {
@@ -99,11 +90,10 @@ func NewMSHR(cfg MSHRConfig) *MSHR {
 		panic(err)
 	}
 	m := &MSHR{
-		cfg:     cfg,
-		q:       queue.New[memreq.RawRequest](cfg.QueueDepth),
-		entries: make([]mshrEntry, cfg.Entries),
-		used:    make([]uint64, (cfg.Entries+63)/64),
-		st:      memreq.NewStats(),
+		frontend: newFrontend(cfg.QueueDepth, cfg.MaxMerges),
+		cfg:      cfg,
+		entries:  make([]mshrEntry, cfg.Entries),
+		used:     make([]uint64, (cfg.Entries+63)/64),
 	}
 	for i := range m.entries {
 		m.entries[i].slot = i
@@ -165,100 +155,28 @@ func (m *MSHR) release(e *mshrEntry) {
 	m.count--
 }
 
-// takeTargets returns a pooled target slice seeded with t.
-func (m *MSHR) takeTargets(t memreq.Target) []memreq.Target {
-	if n := len(m.slabs); n > 0 {
-		s := m.slabs[n-1]
-		m.slabs = m.slabs[:n-1]
-		return append(s, t)
-	}
-	return append(make([]memreq.Target, 0, m.cfg.MaxMerges), t)
-}
-
-// Recycle implements memreq.Recycler: a fully consumed Built hands its
-// target slab back to the pool. Optional; see memreq.Recycler.
-func (m *MSHR) Recycle(b *memreq.Built) {
-	if b == nil || b.Targets == nil {
-		return
-	}
-	if cap(b.Targets) > 0 {
-		m.slabs = append(m.slabs, b.Targets[:0])
-	}
-	b.Targets = nil
-}
-
-// Push offers one raw request; it reports acceptance.
-func (m *MSHR) Push(r memreq.RawRequest, now sim.Cycle) bool {
-	if !m.q.Push(r) {
-		m.st.PushRejects++
-		return false
-	}
-	switch {
-	case r.Fence:
-		m.st.Fences++
-	case r.Atomic:
-		m.st.RawRequests++
-		m.st.RawAtomics++
-	case r.Store:
-		m.st.RawRequests++
-		m.st.RawStores++
-	default:
-		m.st.RawRequests++
-		m.st.RawLoads++
-	}
-	return true
-}
-
 // Tick processes one queued request per cycle: merge into an
 // outstanding MSHR (producing no traffic) or allocate an entry and
 // dispatch the fixed-size line transaction immediately.
-func (m *MSHR) Tick(now sim.Cycle) []memreq.Built {
-	if m.heldFence {
-		if m.inflight != 0 {
-			return nil
-		}
-		m.heldFence = false
-	}
-	head, ok := m.q.Peek()
+func (m *MSHR) Tick(sim.Cycle) []memreq.Built {
+	head, ok := m.head()
 	if !ok {
 		return nil
 	}
-
-	switch {
-	case head.Fence:
+	if head.Atomic {
 		m.q.Pop()
-		m.heldFence = true
-		return nil
-
-	case head.Atomic:
-		m.q.Pop()
-		b := memreq.Built{
-			Req: hmc.Request{
-				Kind: hmc.AtomicOp,
-				Addr: head.Addr &^ uint64(addr.FlitMask),
-				Data: addr.FlitBytes,
-			},
-			Targets: m.takeTargets(memreq.Target{
-				Thread: head.Thread, Tag: head.Tag, Flit: addr.FlitID(head.Addr),
-			}),
-			Bypassed: true,
-		}
-		b.Req.Normalize()
-		m.noteDispatch(&b)
-		return []memreq.Built{b}
+		return []memreq.Built{m.single(head, true)}
 	}
 
 	key := m.lineKey(head.Addr, head.Store)
-	tgt := memreq.Target{Thread: head.Thread, Tag: head.Tag, Flit: addr.FlitID(head.Addr)}
-
 	if e := m.lookup(key); e != nil {
 		if 1+len(e.late) < m.cfg.MaxMerges {
 			// Merge under the outstanding miss: no new traffic.
 			m.q.Pop()
-			e.late = append(e.late, tgt)
-			return nil
+			e.late = append(e.late, head.Target())
 		}
-		// Entry full: structural stall until the line completes.
+		// Otherwise the entry is full: structural stall until the
+		// line completes.
 		return nil
 	}
 
@@ -278,31 +196,18 @@ func (m *MSHR) Tick(now sim.Cycle) []memreq.Built {
 			Addr: key &^ (1 << 63),
 			Data: m.cfg.LineBytes,
 		},
-		Targets: m.takeTargets(tgt),
+		Targets: m.Take(head.Target()),
 		Handle:  e,
 	}
-	b.Req.Normalize()
-	m.noteDispatch(&b)
+	m.CountEmit(&b)
 	return []memreq.Built{b}
-}
-
-func (m *MSHR) noteDispatch(b *memreq.Built) {
-	m.st.Transactions++
-	if b.Bypassed {
-		m.st.Bypassed++
-	}
-	m.st.BuiltBySizeBytes[b.Req.Data]++
-	m.inflight++
 }
 
 // Completed frees the MSHR entry of the finished transaction and folds
 // any targets merged after dispatch into the transaction's target list
 // so the caller's response routing delivers them too.
 func (m *MSHR) Completed(b *memreq.Built) {
-	if m.inflight == 0 {
-		panic("coalesce: MSHR.Completed without matching emission")
-	}
-	m.inflight--
+	m.frontend.Completed(b)
 	if e, ok := b.Handle.(*mshrEntry); ok && e != nil {
 		if len(e.late) > 0 {
 			// A pooled Targets has cap MaxMerges and dispatch + late
@@ -311,32 +216,14 @@ func (m *MSHR) Completed(b *memreq.Built) {
 		}
 		m.release(e)
 	}
-	m.st.TargetsPerTx.Observe(uint64(len(b.Targets)))
+	m.Stats().TargetsPerTx.Observe(uint64(len(b.Targets)))
 }
-
-// Pending returns queued raw requests (including a held fence).
-func (m *MSHR) Pending() int {
-	p := m.q.Len()
-	if m.heldFence {
-		p++
-	}
-	return p
-}
-
-// Inflight returns dispatched transactions not yet completed.
-func (m *MSHR) Inflight() int { return m.inflight }
-
-// Stats returns the accumulated statistics.
-func (m *MSHR) Stats() *memreq.Stats { return m.st }
 
 // Reset restores the initial empty state (the slab pool survives).
 func (m *MSHR) Reset() {
-	m.q.Reset()
+	m.frontend.Reset()
 	clear(m.used)
 	m.count = 0
-	m.heldFence = false
-	m.inflight = 0
-	m.st = memreq.NewStats()
 }
 
 // AttachObs registers the MSHR's occupancy and queue state into a

@@ -9,19 +9,23 @@
 //     on first miss, with subsequent same-line requests merged while
 //     the original is outstanding. It illustrates the limitation
 //     argued in §2.3.2: fixed-size, dispatch-on-allocate coalescing
-//     cannot exploit the HMC's large flexible packets.
+//     cannot exploit the HMC's large flexible packets;
+//   - Warp: the SIMT warp-lane coalescer of GPU memory units, which
+//     groups only what one warp exhibits at one instant;
+//   - MemCache: the die-stacked "part memory, part cache" design of
+//     Bakhshalipour et al., which spends stacked capacity on a cache
+//     instead of coalescing the request stream.
 //
-// Both implement memreq.Coalescer, so the node model and the
-// experiment harness can swap them freely with the real MAC.
+// All four implement memreq.Coalescer on one shared frontend (input
+// FIFO, held-fence rule, statistics, in-flight count, target-slab
+// pool), so the node model and the experiment harness can swap them
+// freely with the real MAC.
 package coalesce
 
 import (
 	"fmt"
 
-	"mac3d/internal/addr"
-	"mac3d/internal/hmc"
 	"mac3d/internal/memreq"
-	"mac3d/internal/queue"
 	"mac3d/internal/sim"
 )
 
@@ -30,26 +34,18 @@ type NullConfig struct {
 	// QueueDepth sizes the dispatch FIFO decoupling cores from the
 	// memory interface.
 	QueueDepth int
-	// IssuePerCycle bounds transactions dispatched per cycle. The
-	// paper's no-MAC interface issues one request per cycle (the
-	// same rate at which the ARQ accepts raw requests).
-	IssuePerCycle int
 }
 
 // DefaultNullConfig returns the paper's no-MAC configuration.
 func DefaultNullConfig() NullConfig {
-	return NullConfig{QueueDepth: 64, IssuePerCycle: 1}
+	return NullConfig{QueueDepth: 64}
 }
 
 // Null is the identity "coalescer": raw requests pass through
-// unmodified as single-FLIT (or raw-sized) transactions.
+// unmodified as single-FLIT (or raw-sized) transactions, one per cycle
+// — the rate at which the ARQ accepts raw requests.
 type Null struct {
-	cfg NullConfig
-	q   *queue.FIFO[memreq.RawRequest]
-
-	heldFence bool
-	inflight  int
-	st        *memreq.Stats
+	frontend
 }
 
 var _ memreq.Coalescer = (*Null)(nil)
@@ -59,120 +55,17 @@ func NewNull(cfg NullConfig) *Null {
 	if cfg.QueueDepth <= 0 {
 		panic(fmt.Sprintf("coalesce: QueueDepth must be positive, got %d", cfg.QueueDepth))
 	}
-	if cfg.IssuePerCycle <= 0 {
-		cfg.IssuePerCycle = 1
-	}
-	return &Null{cfg: cfg, q: queue.New[memreq.RawRequest](cfg.QueueDepth), st: memreq.NewStats()}
+	return &Null{newFrontend(cfg.QueueDepth, 1)}
 }
 
-// Push offers one raw request; it reports acceptance.
-func (n *Null) Push(r memreq.RawRequest, now sim.Cycle) bool {
-	if !n.q.Push(r) {
-		n.st.PushRejects++
-		return false
+// Tick dispatches the queued head request as its own transaction.
+func (n *Null) Tick(sim.Cycle) []memreq.Built {
+	head, ok := n.head()
+	if !ok {
+		return nil
 	}
-	switch {
-	case r.Fence:
-		n.st.Fences++
-	case r.Atomic:
-		n.st.RawRequests++
-		n.st.RawAtomics++
-	case r.Store:
-		n.st.RawRequests++
-		n.st.RawStores++
-	default:
-		n.st.RawRequests++
-		n.st.RawLoads++
-	}
-	return true
-}
-
-// Tick dispatches up to IssuePerCycle queued requests as transactions.
-func (n *Null) Tick(now sim.Cycle) []memreq.Built {
-	var out []memreq.Built
-	for len(out) < n.cfg.IssuePerCycle {
-		if n.heldFence {
-			if n.inflight == 0 {
-				n.heldFence = false
-			} else {
-				break
-			}
-		}
-		head, ok := n.q.Peek()
-		if !ok {
-			break
-		}
-		if head.Fence {
-			n.q.Pop()
-			n.heldFence = true
-			continue
-		}
-		n.q.Pop()
-		kind := hmc.Read
-		switch {
-		case head.Atomic:
-			kind = hmc.AtomicOp
-		case head.Store:
-			kind = hmc.Write
-		}
-		// The transaction is FLIT-aligned; an access starting mid-FLIT
-		// and running into the next FLIT needs the span of both (the
-		// same rounding MAC's bypass path applies).
-		base := head.Addr &^ uint64(addr.FlitMask)
-		size := uint32(head.Addr-base) + uint32(head.Size)
-		if size == 0 {
-			size = 1
-		}
-		if rem := size % addr.FlitBytes; rem != 0 {
-			size += addr.FlitBytes - rem
-		}
-		b := memreq.Built{
-			Req: hmc.Request{
-				Kind: kind,
-				Addr: base,
-				Data: size,
-			},
-			Targets: []memreq.Target{
-				{Thread: head.Thread, Tag: head.Tag, Flit: addr.FlitID(head.Addr)},
-			},
-		}
-		b.Req.Normalize()
-		n.st.Transactions++
-		n.st.BuiltBySizeBytes[b.Req.Data]++
-		n.st.TargetsPerTx.Observe(1)
-		n.inflight++
-		out = append(out, b)
-	}
-	return out
-}
-
-// Completed signals the completion of one emitted transaction.
-func (n *Null) Completed(*memreq.Built) {
-	if n.inflight == 0 {
-		panic("coalesce: Null.Completed without matching emission")
-	}
-	n.inflight--
-}
-
-// Pending returns the queued raw requests (including fences).
-func (n *Null) Pending() int {
-	p := n.q.Len()
-	if n.heldFence {
-		p++
-	}
-	return p
-}
-
-// Inflight returns emitted transactions not yet completed.
-func (n *Null) Inflight() int { return n.inflight }
-
-// Stats returns the accumulated statistics.
-func (n *Null) Stats() *memreq.Stats { return n.st }
-
-// Reset restores the initial empty state.
-func (n *Null) Reset() {
-	n.q.Reset()
-	n.heldFence = false
-	n.inflight = 0
-	n.st = memreq.NewStats()
+	n.q.Pop()
+	b := n.single(head, false)
+	n.Stats().TargetsPerTx.Observe(1)
+	return []memreq.Built{b}
 }

@@ -8,7 +8,6 @@ import (
 	"mac3d/internal/hmc"
 	"mac3d/internal/memreq"
 	"mac3d/internal/obs"
-	"mac3d/internal/queue"
 	"mac3d/internal/sim"
 )
 
@@ -79,26 +78,19 @@ type warpState struct {
 // cross-warp window — divergent warps pay one transaction per distinct
 // block.
 type Warp struct {
+	frontend
 	cfg        WarpConfig
 	logLanes   uint
 	blockShift uint
-	q          *queue.FIFO[memreq.RawRequest]
 
 	cur  *warpState
 	live int
 
-	// slabs pools target slices handed out in Builts; warps pools
-	// retired warpState values (lane arrays survive).
-	slabs [][]memreq.Target
+	// warps pools retired warpState values (lane arrays survive).
 	warps []*warpState
-
-	heldFence bool
-	inflight  int
-	st        *memreq.Stats
 }
 
 var _ memreq.Coalescer = (*Warp)(nil)
-var _ memreq.Recycler = (*Warp)(nil)
 var _ obs.Attacher = (*Warp)(nil)
 
 // NewWarp builds the SIMT frontend, returning an error on bad config.
@@ -108,42 +100,19 @@ func NewWarp(cfg WarpConfig) (*Warp, error) {
 	}
 	logLanes := uint(bits.TrailingZeros(uint(cfg.Lanes)))
 	w := &Warp{
+		frontend: newFrontend(cfg.QueueDepth, cfg.Lanes),
 		cfg:      cfg,
 		logLanes: logLanes,
 		// The lane block is Lanes words of 4 bytes, the exemplar's
 		// addr >> (LOG_LANES+2); Lanes >= 4 keeps it FLIT-aligned.
 		blockShift: logLanes + 2,
-		q:          queue.New[memreq.RawRequest](cfg.QueueDepth),
-		st:         memreq.NewStats(),
 	}
-	w.st.Warp = &memreq.WarpStats{}
+	w.Stats().Warp = &memreq.WarpStats{}
 	return w, nil
 }
 
 // blockBytes returns the lane-block span in bytes.
 func (w *Warp) blockBytes() uint32 { return uint32(1) << w.blockShift }
-
-// takeTargets returns a pooled target slice seeded with t.
-func (w *Warp) takeTargets(t memreq.Target) []memreq.Target {
-	if n := len(w.slabs); n > 0 {
-		s := w.slabs[n-1]
-		w.slabs = w.slabs[:n-1]
-		return append(s, t)
-	}
-	return append(make([]memreq.Target, 0, w.cfg.Lanes), t)
-}
-
-// Recycle implements memreq.Recycler: a fully consumed Built hands its
-// target slab back to the pool.
-func (w *Warp) Recycle(b *memreq.Built) {
-	if b == nil || b.Targets == nil {
-		return
-	}
-	if cap(b.Targets) > 0 {
-		w.slabs = append(w.slabs, b.Targets[:0])
-	}
-	b.Targets = nil
-}
 
 // takeWarp returns a pooled (or fresh) empty warpState.
 func (w *Warp) takeWarp() *warpState {
@@ -158,39 +127,10 @@ func (w *Warp) takeWarp() *warpState {
 	return &warpState{lanes: make([]warpLane, 0, w.cfg.Lanes)}
 }
 
-// Push offers one raw request; it reports acceptance.
-func (w *Warp) Push(r memreq.RawRequest, now sim.Cycle) bool {
-	if !w.q.Push(r) {
-		w.st.PushRejects++
-		return false
-	}
-	switch {
-	case r.Fence:
-		w.st.Fences++
-	case r.Atomic:
-		w.st.RawRequests++
-		w.st.RawAtomics++
-	case r.Store:
-		w.st.RawRequests++
-		w.st.RawStores++
-	default:
-		w.st.RawRequests++
-		w.st.RawLoads++
-	}
-	return true
-}
-
 // Tick emits at most one mask-group transaction per cycle: it first
 // serves the warp being dispatched, gathering a new warp from the queue
 // when none is active and the scoreboard has a free slot.
-func (w *Warp) Tick(now sim.Cycle) []memreq.Built {
-	if w.heldFence {
-		if w.inflight != 0 {
-			return nil
-		}
-		w.heldFence = false
-	}
-
+func (w *Warp) Tick(sim.Cycle) []memreq.Built {
 	if w.cur == nil {
 		ok, bypass := w.gather()
 		if bypass != nil {
@@ -210,31 +150,14 @@ func (w *Warp) gather() (ok bool, bypass []memreq.Built) {
 	if w.live >= w.cfg.MaxWarps {
 		return false, nil // scoreboard full: stall until a warp resumes
 	}
-	head, okPeek := w.q.Peek()
-	if !okPeek {
+	head, okHead := w.head()
+	if !okHead {
 		return false, nil
 	}
-	switch {
-	case head.Fence:
+	if head.Atomic {
 		w.q.Pop()
-		w.heldFence = true
-		return false, nil
-
-	case head.Atomic:
-		w.q.Pop()
-		b := memreq.Built{
-			Req: hmc.Request{
-				Kind: hmc.AtomicOp,
-				Addr: head.Addr &^ uint64(addr.FlitMask),
-				Data: addr.FlitBytes,
-			},
-			Targets: w.takeTargets(memreq.Target{
-				Thread: head.Thread, Tag: head.Tag, Flit: addr.FlitID(head.Addr),
-			}),
-			Bypassed: true,
-		}
-		b.Req.Normalize()
-		w.noteDispatch(&b, 1)
+		b := w.single(head, true)
+		w.Stats().TargetsPerTx.Observe(1)
 		return false, []memreq.Built{b}
 	}
 
@@ -251,7 +174,7 @@ func (w *Warp) gather() (ok bool, bypass []memreq.Built) {
 	ws.unserved = len(ws.lanes)
 	w.cur = ws
 	w.live++
-	w.st.Warp.WarpsFormed++
+	w.Stats().Warp.WarpsFormed++
 	return true, nil
 }
 
@@ -285,13 +208,10 @@ func (w *Warp) emitMaskGroup() []memreq.Built {
 		}
 		ln.served = true
 		ws.unserved--
-		tgt := memreq.Target{
-			Thread: ln.req.Thread, Tag: ln.req.Tag, Flit: addr.FlitID(ln.req.Addr),
-		}
 		if targets == nil {
-			targets = w.takeTargets(tgt)
+			targets = w.Take(ln.req.Target())
 		} else {
-			targets = append(targets, tgt)
+			targets = append(targets, ln.req.Target())
 		}
 		if e := ln.req.Addr + uint64(ln.req.Size); e > end {
 			end = e
@@ -308,7 +228,7 @@ func (w *Warp) emitMaskGroup() []memreq.Built {
 		if size == 0 {
 			size = 1
 		}
-		w.st.Warp.SameAddrTx++
+		w.Stats().Warp.SameAddrTx++
 	} else {
 		// Divergent group: fetch the whole lane block, extended when a
 		// lane's access runs past the block end so every target's FLIT
@@ -318,7 +238,7 @@ func (w *Warp) emitMaskGroup() []memreq.Built {
 		if over := uint32(end - base); over > size {
 			size = over
 		}
-		w.st.Warp.SameBlockTx++
+		w.Stats().Warp.SameBlockTx++
 	}
 	if rem := size % addr.FlitBytes; rem != 0 {
 		size += addr.FlitBytes - rem
@@ -333,37 +253,25 @@ func (w *Warp) emitMaskGroup() []memreq.Built {
 		Targets: targets,
 		Handle:  ws,
 	}
-	b.Req.Normalize()
 	ws.outstanding++
 	ws.masks++
-	w.noteDispatch(&b, uint64(len(targets)))
+	w.CountEmit(&b)
+	st := w.Stats()
+	st.TargetsPerTx.Observe(uint64(len(targets)))
 	if ws.unserved == 0 {
 		// Every lane covered: the warp suspends awaiting responses.
 		ws.dispatched = true
-		w.st.Warp.WarpsSuspended++
-		w.st.Warp.MasksPerWarp.Observe(ws.masks)
+		st.Warp.WarpsSuspended++
+		st.Warp.MasksPerWarp.Observe(ws.masks)
 		w.cur = nil
 	}
 	return []memreq.Built{b}
 }
 
-func (w *Warp) noteDispatch(b *memreq.Built, targets uint64) {
-	w.st.Transactions++
-	if b.Bypassed {
-		w.st.Bypassed++
-	}
-	w.st.BuiltBySizeBytes[b.Req.Data]++
-	w.st.TargetsPerTx.Observe(targets)
-	w.inflight++
-}
-
 // Completed signals one transaction done; the last completion of a
 // fully dispatched warp resumes it, freeing the scoreboard slot.
 func (w *Warp) Completed(b *memreq.Built) {
-	if w.inflight == 0 {
-		panic("coalesce: Warp.Completed without matching emission")
-	}
-	w.inflight--
+	w.frontend.Completed(b)
 	ws, ok := b.Handle.(*warpState)
 	if !ok || ws == nil {
 		return // atomic bypass: no warp attached
@@ -381,34 +289,22 @@ func (w *Warp) Completed(b *memreq.Built) {
 // Pending returns queued raw requests plus unserved gathered lanes
 // (including a held fence).
 func (w *Warp) Pending() int {
-	p := w.q.Len()
+	p := w.frontend.Pending()
 	if w.cur != nil {
 		p += w.cur.unserved
-	}
-	if w.heldFence {
-		p++
 	}
 	return p
 }
 
-// Inflight returns dispatched transactions not yet completed.
-func (w *Warp) Inflight() int { return w.inflight }
-
-// Stats returns the accumulated statistics.
-func (w *Warp) Stats() *memreq.Stats { return w.st }
-
 // Reset restores the initial empty state (the pools survive).
 func (w *Warp) Reset() {
-	w.q.Reset()
+	w.frontend.Reset()
 	if w.cur != nil {
 		w.warps = append(w.warps, w.cur)
 		w.cur = nil
 	}
 	w.live = 0
-	w.heldFence = false
-	w.inflight = 0
-	w.st = memreq.NewStats()
-	w.st.Warp = &memreq.WarpStats{}
+	w.Stats().Warp = &memreq.WarpStats{}
 }
 
 // AttachObs registers the warp frontend's scoreboard and queue state

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"mac3d/internal/addr"
 	"mac3d/internal/hmc"
 	"mac3d/internal/memreq"
 	"mac3d/internal/obs"
@@ -14,9 +13,6 @@ import (
 type Config struct {
 	// ARQ sizes the raw request aggregator.
 	ARQ AggregatorConfig
-	// BypassSize is the payload of a bypassed (B bit) transaction.
-	// The design forwards the raw request directly, i.e. one FLIT.
-	BypassSize uint32
 	// FineBuilder switches the request builder to 16B (FLIT)
 	// granularity instead of the paper's 64B chunks — an ablation
 	// of the §4.2 control-overhead/data-utilization trade.
@@ -26,20 +22,11 @@ type Config struct {
 // DefaultConfig returns the paper's evaluated configuration
 // (Table 1: 32-entry ARQ, 64B entries).
 func DefaultConfig() Config {
-	return Config{ARQ: DefaultAggregatorConfig(), BypassSize: addr.FlitBytes}
+	return Config{ARQ: DefaultAggregatorConfig()}
 }
 
 // Validate reports the first configuration error, or nil.
-func (c Config) Validate() error {
-	if err := c.ARQ.Validate(); err != nil {
-		return err
-	}
-	if c.BypassSize != 0 && (c.BypassSize%addr.FlitBytes != 0 || c.BypassSize > addr.RowBytes) {
-		return fmt.Errorf("core: BypassSize must be a FLIT multiple <= %d, got %d",
-			addr.RowBytes, c.BypassSize)
-	}
-	return nil
-}
+func (c Config) Validate() error { return c.ARQ.Validate() }
 
 // SpaceBytes returns the hardware area model of the whole MAC unit
 // (paper §5.3.3): the ARQ entries plus the builder's FLIT map and
@@ -47,8 +34,10 @@ func (c Config) Validate() error {
 func (c Config) SpaceBytes() int { return c.ARQ.SpaceBytes() + BuilderSpaceBytes }
 
 // MAC is the complete Memory Access Coalescer unit. It implements
-// memreq.Coalescer.
+// memreq.Coalescer; the embedded Tally supplies Stats, Inflight and
+// Completed.
 type MAC struct {
+	memreq.Tally
 	cfg Config
 	agg *Aggregator
 	bld *Builder
@@ -59,9 +48,7 @@ type MAC struct {
 	// heldFence is set while a popped fence waits for outstanding
 	// transactions to drain.
 	heldFence bool
-	inflight  int
 
-	st *memreq.Stats
 	// obs is the run's observability handle (nil when disabled).
 	obs *obs.Obs
 }
@@ -78,19 +65,16 @@ func New(cfg Config) (*MAC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid MAC config: %w", err)
 	}
-	if cfg.BypassSize == 0 {
-		cfg.BypassSize = addr.FlitBytes
-	}
 	agg := NewAggregator(cfg.ARQ)
 	bld := NewBuilder(agg.Window())
 	if cfg.FineBuilder {
 		bld = NewFineBuilder(agg.Window())
 	}
 	return &MAC{
-		cfg: cfg,
-		agg: agg,
-		bld: bld,
-		st:  memreq.NewStats(),
+		Tally: memreq.NewTally(),
+		cfg:   cfg,
+		agg:   agg,
+		bld:   bld,
 	}, nil
 }
 
@@ -122,31 +106,14 @@ func (m *MAC) AttachObs(o *obs.Obs) {
 	m.obs = o
 	m.agg.attachObs(o)
 	reg := o.Reg()
-	reg.Func("mac.inflight", func() float64 { return float64(m.inflight) })
+	reg.Func("mac.inflight", func() float64 { return float64(m.Inflight()) })
 	reg.Func("mac.pending", func() float64 { return float64(m.Pending()) })
 }
 
 // Push offers one raw request at cycle now (≤1 per cycle in the timed
 // model; the request router enforces the rate). It reports acceptance.
 func (m *MAC) Push(r memreq.RawRequest, now sim.Cycle) bool {
-	if !m.agg.Push(r, now) {
-		m.st.PushRejects++
-		return false
-	}
-	switch {
-	case r.Fence:
-		m.st.Fences++
-	case r.Atomic:
-		m.st.RawRequests++
-		m.st.RawAtomics++
-	case r.Store:
-		m.st.RawRequests++
-		m.st.RawStores++
-	default:
-		m.st.RawRequests++
-		m.st.RawLoads++
-	}
-	return true
+	return m.CountPush(r, m.agg.Push(r, now))
 }
 
 // Tick advances the MAC one cycle: the builder pipeline moves, and —
@@ -169,7 +136,7 @@ func (m *MAC) Tick(now sim.Cycle) []memreq.Built {
 	// Fence release: a held fence retires once every earlier
 	// transaction has completed and the builder is empty.
 	if m.heldFence {
-		if m.inflight == 0 && !m.bld.Busy() && len(out) == 0 {
+		if m.Inflight() == 0 && !m.bld.Busy() && len(out) == 0 {
 			m.heldFence = false
 		}
 		return out
@@ -196,7 +163,10 @@ func (m *MAC) Tick(now sim.Cycle) []memreq.Built {
 			e, _ := m.agg.Pop()
 			e.span.MarkPop(uint64(now))
 			e.span.MarkBuilt(uint64(now))
-			b := m.direct(e)
+			// The raw request is forwarded on its own, at FLIT
+			// granularity.
+			b := memreq.Direct(e.raw, e.targets)
+			b.Bypassed, b.Span = true, e.span
 			m.note(&b)
 			out = append(out, b)
 			m.nextPop = now + m.cfg.ARQ.PopInterval
@@ -210,56 +180,16 @@ func (m *MAC) Tick(now sim.Cycle) []memreq.Built {
 	return out
 }
 
-// direct builds the transaction for a bypassed or atomic entry: the
-// raw request is forwarded with its own address at FLIT granularity.
-func (m *MAC) direct(e arqEntry) memreq.Built {
-	r := e.raw
-	kind := hmc.Read
-	switch {
-	case e.atomic:
-		kind = hmc.AtomicOp
-	case r.Store:
-		kind = hmc.Write
-	}
-	// The transaction is FLIT-aligned; an access that starts mid-FLIT
-	// and crosses into the next FLIT needs the span of both.
-	base := r.Addr &^ uint64(addr.FlitMask)
-	span := uint32(r.Addr-base) + uint32(r.Size)
-	if rem := span % addr.FlitBytes; rem != 0 {
-		span += addr.FlitBytes - rem
-	}
-	size := m.cfg.BypassSize
-	if span > size {
-		size = span
-	}
-	return memreq.Built{
-		Req: hmc.Request{
-			Kind: kind,
-			Addr: base,
-			Data: size,
-		},
-		Targets:  e.targets,
-		Bypassed: true,
-		Span:     e.span,
-	}
-}
-
 // note updates statistics and the outstanding count for an emitted
 // transaction.
 func (m *MAC) note(b *memreq.Built) {
-	b.Req.Normalize()
 	for _, t := range b.Targets {
 		if err := t.Validate(m.cfg.ARQ.WindowBytes); err != nil {
 			panic(err)
 		}
 	}
-	m.st.Transactions++
-	if b.Bypassed {
-		m.st.Bypassed++
-	}
-	m.st.BuiltBySizeBytes[b.Req.Data]++
-	m.st.TargetsPerTx.Observe(uint64(len(b.Targets)))
-	m.inflight++
+	m.CountEmit(b)
+	m.Stats().TargetsPerTx.Observe(uint64(len(b.Targets)))
 	if b.Span != nil {
 		b.Span.Addr = b.Req.Addr
 		b.Span.Bytes = b.Req.Data
@@ -269,25 +199,11 @@ func (m *MAC) note(b *memreq.Built) {
 	}
 }
 
-// Completed signals that a previously emitted transaction finished.
-func (m *MAC) Completed(*memreq.Built) {
-	if m.inflight == 0 {
-		panic("core: Completed without matching emission")
-	}
-	m.inflight--
-}
-
 // Recycle implements memreq.Recycler: a driver that has fully consumed
 // a Built (response delivered, every target retired) hands it back so
 // the target slab returns to the ARQ's pool. The Built must not be
 // referenced again afterwards.
-func (m *MAC) Recycle(b *memreq.Built) {
-	if b == nil || b.Targets == nil {
-		return
-	}
-	m.agg.RecycleTargets(b.Targets)
-	b.Targets = nil
-}
+func (m *MAC) Recycle(b *memreq.Built) { m.agg.slabs.Recycle(b) }
 
 // Pending returns raw requests accepted but not yet emitted (ARQ
 // occupancy plus builder pipeline contents, counted in entries).
@@ -305,12 +221,6 @@ func (m *MAC) Pending() int {
 	return n
 }
 
-// Inflight returns emitted transactions not yet completed.
-func (m *MAC) Inflight() int { return m.inflight }
-
-// Stats returns the accumulated coalescing statistics.
-func (m *MAC) Stats() *memreq.Stats { return m.st }
-
 // Reset restores the unit to its initial state, clearing statistics.
 func (m *MAC) Reset() {
 	m.agg.Reset()
@@ -321,6 +231,5 @@ func (m *MAC) Reset() {
 	}
 	m.nextPop = 0
 	m.heldFence = false
-	m.inflight = 0
-	m.st = memreq.NewStats()
+	m.Tally = memreq.NewTally()
 }

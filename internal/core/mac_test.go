@@ -339,9 +339,9 @@ func TestMACCompletedUnderflowPanics(t *testing.T) {
 
 func TestMACConfigValidate(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.BypassSize = 10 // not a FLIT multiple
+	cfg.ARQ.Entries = 0
 	if err := cfg.Validate(); err == nil {
-		t.Fatal("bad BypassSize accepted")
+		t.Fatal("bad ARQ config accepted")
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatal(err)

@@ -227,10 +227,6 @@ type Node struct {
 	// mac is coal when the run uses the MAC, else nil — for
 	// occupancy sampling on cycles where the coalescer is not ticked.
 	mac *core.MAC
-	// rec is coal's recycling hook when it offers one: fully consumed
-	// Builts hand their target slabs back, keeping the pop path
-	// allocation-free.
-	rec memreq.Recycler
 	dev *hmc.Device
 
 	threads []*threadState
@@ -317,13 +313,11 @@ func NewNode(cfg Config, coal memreq.Coalescer, dev *hmc.Device) (*Node, error) 
 		return nil, fmt.Errorf("cpu: %w", err)
 	}
 	mac, _ := coal.(*core.MAC)
-	rec, _ := coal.(memreq.Recycler)
 	return &Node{
 		cfg:    cfg,
 		router: router,
 		coal:   coal,
 		mac:    mac,
-		rec:    rec,
 		dev:    dev,
 		resp:   core.NewResponseRouter(cfg.TargetBufferDepth),
 	}, nil
@@ -690,9 +684,7 @@ func (n *Node) deliverResponses(now sim.Cycle) {
 		// Every target has been consumed (retired here or copied into
 		// a response message) and the span recorded: hand the
 		// transaction's slab back to the coalescer.
-		if n.rec != nil {
-			n.rec.Recycle(b)
-		}
+		n.coal.Recycle(b)
 	}
 }
 

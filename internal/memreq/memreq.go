@@ -126,9 +126,10 @@ type Built struct {
 // The driving model is cycle-stepped: the driver calls Push to offer at
 // most one raw request per call (a rejected Push models backpressure
 // and must be retried), calls Tick once per cycle to collect built
-// transactions, and calls Completed when the device response for a
-// built transaction has been routed back — coalescers use the
-// outstanding count to order memory fences.
+// transactions, calls Completed when the device response for a built
+// transaction has been routed back — coalescers use the outstanding
+// count to order memory fences — and hands each fully consumed Built
+// back through Recycle.
 type Coalescer interface {
 	// Push offers one raw request at cycle now. It reports whether
 	// the request was accepted.
@@ -149,15 +150,14 @@ type Coalescer interface {
 	Stats() *Stats
 	// Reset restores the coalescer to its initial empty state.
 	Reset()
+	Recycler
 }
 
-// Recycler is an optional interface a Coalescer may implement. A
-// driver that is completely done with a Built — the response has been
-// delivered and every target consumed — may hand it back so internal
-// buffers (e.g. the target slab) can be reused, keeping the build/pop
-// path allocation-free. Calling Recycle is always optional; a driver
-// that retains Builts simply never calls it. After the call the Built
-// and its Targets slice must not be touched.
+// Recycler takes back a Built the driver is completely done with — the
+// response has been delivered and every target consumed — so its
+// target slab can be reused, keeping the build/pop path
+// allocation-free. A driver that retains Builts simply never calls it.
+// After the call the Built and its Targets slice must not be touched.
 type Recycler interface {
 	Recycle(b *Built)
 }
