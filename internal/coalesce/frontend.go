@@ -1,6 +1,7 @@
 package coalesce
 
 import (
+	"mac3d/internal/addr"
 	"mac3d/internal/memreq"
 	"mac3d/internal/queue"
 	"mac3d/internal/sim"
@@ -74,4 +75,26 @@ func (f *frontend) Reset() {
 	f.q.Reset()
 	f.heldFence = false
 	f.Tally = memreq.NewTally()
+}
+
+// lineSpan returns the lineBytes-aligned line holding r and the payload
+// of a transaction fetching it for r: the whole line, extended to r's
+// last FLIT when r runs past the line end.
+func lineSpan(r memreq.RawRequest, lineBytes uint32) (line uint64, bytes uint32) {
+	line = r.Addr & addr.PhysMask &^ uint64(lineBytes-1)
+	base, n := r.FlitSpan()
+	bytes = lineBytes
+	if over := uint32(base&addr.PhysMask + uint64(n) - line); over > bytes {
+		bytes = over
+	}
+	return line, bytes
+}
+
+// covers reports whether r's FLIT span lies inside the dispatched
+// transaction of bytes at txAddr — the condition for a request merged
+// after dispatch to be delivered by that transaction's response.
+func covers(txAddr uint64, bytes uint32, r memreq.RawRequest) bool {
+	base, n := r.FlitSpan()
+	base &= addr.PhysMask
+	return base >= txAddr && base+uint64(n) <= txAddr+uint64(bytes)
 }

@@ -66,11 +66,11 @@ func (c MemCacheConfig) Validate() error {
 	return cache.Config{SizeBytes: c.CacheBytes, LineBytes: c.LineBytes, Ways: c.Ways}.Validate()
 }
 
-// fillEntry is one outstanding line fill: the dispatched transaction's
-// span (for merge-coverage checks) and targets merged after dispatch.
+// fillEntry is one outstanding line fill: the dispatched transaction,
+// which starts at line and carries txBytes (for merge-coverage checks),
+// and targets merged after dispatch.
 type fillEntry struct {
 	line    uint64 // line-aligned physical address, fill-table key
-	txAddr  uint64
 	txBytes uint32
 	late    []memreq.Target
 }
@@ -157,23 +157,6 @@ func (mc *MemCache) takeFill() *fillEntry {
 	return &fillEntry{late: late}
 }
 
-// covered reports whether r's FLIT span lies inside the dispatched
-// fill transaction fe — the condition for a late merge to be delivered
-// by fe's response.
-func (mc *MemCache) covered(fe *fillEntry, r memreq.RawRequest) bool {
-	a := r.Addr & addr.PhysMask
-	s := a &^ uint64(addr.FlitMask)
-	size := uint64(r.Size)
-	if size == 0 {
-		size = 1
-	}
-	e := a + size
-	if rem := e % addr.FlitBytes; rem != 0 {
-		e += addr.FlitBytes - rem
-	}
-	return s >= fe.txAddr && e <= fe.txAddr+uint64(fe.txBytes)
-}
-
 // Tick processes one queued request per cycle: route it to the direct
 // partition, serve it from the stacked cache, merge it onto an
 // in-flight fill, or allocate a fill (plus a writeback when the victim
@@ -195,9 +178,9 @@ func (mc *MemCache) Tick(sim.Cycle) []memreq.Built {
 	}
 
 	probe := head.Addr & addr.PhysMask
-	line := probe &^ uint64(mc.cfg.LineBytes-1)
+	line, size := lineSpan(head, mc.cfg.LineBytes)
 	if fe := mc.fills[line]; fe != nil {
-		if 1+len(fe.late) < mc.cfg.MaxMerges && mc.covered(fe, head) {
+		if 1+len(fe.late) < mc.cfg.MaxMerges && covers(line, fe.txBytes, head) {
 			// Hit under miss: ride the in-flight fill, no new traffic.
 			mc.q.Pop()
 			fe.late = append(fe.late, head.Target())
@@ -228,19 +211,8 @@ func (mc *MemCache) Tick(sim.Cycle) []memreq.Built {
 	// access spills past the line end so the target's FLIT span is
 	// covered.
 	st.MemCache.Misses++
-	end := probe + uint64(head.Size)
-	if head.Size == 0 {
-		end = probe + 1
-	}
-	size := mc.cfg.LineBytes
-	if over := uint32(end - line); over > size {
-		size = over
-	}
-	if rem := size % addr.FlitBytes; rem != 0 {
-		size += addr.FlitBytes - rem
-	}
 	fe := mc.takeFill()
-	fe.line, fe.txAddr, fe.txBytes = line, line, size
+	fe.line, fe.txBytes = line, size
 	mc.fills[line] = fe
 	b := memreq.Built{
 		Req:     hmc.Request{Kind: hmc.Read, Addr: line, Data: size},

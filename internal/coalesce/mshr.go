@@ -51,7 +51,8 @@ func (c MSHRConfig) Validate() error {
 type mshrEntry struct {
 	key   uint64 // line-aligned address with the store bit in bit 63
 	store bool
-	slot  int // index in the register file (for bitset bookkeeping)
+	slot  int    // index in the register file (for bitset bookkeeping)
+	bytes uint32 // the dispatched transaction's payload, from the line start
 	late  []memreq.Target
 }
 
@@ -157,7 +158,10 @@ func (m *MSHR) release(e *mshrEntry) {
 
 // Tick processes one queued request per cycle: merge into an
 // outstanding MSHR (producing no traffic) or allocate an entry and
-// dispatch the fixed-size line transaction immediately.
+// dispatch the line transaction immediately. The transaction is one
+// line, extended to the request's last FLIT when the request runs past
+// the line end; a later request merges only when its FLIT span lies
+// inside it.
 func (m *MSHR) Tick(sim.Cycle) []memreq.Built {
 	head, ok := m.head()
 	if !ok {
@@ -169,14 +173,15 @@ func (m *MSHR) Tick(sim.Cycle) []memreq.Built {
 	}
 
 	key := m.lineKey(head.Addr, head.Store)
+	line, size := lineSpan(head, m.cfg.LineBytes)
 	if e := m.lookup(key); e != nil {
-		if 1+len(e.late) < m.cfg.MaxMerges {
+		if 1+len(e.late) < m.cfg.MaxMerges && covers(line, e.bytes, head) {
 			// Merge under the outstanding miss: no new traffic.
 			m.q.Pop()
 			e.late = append(e.late, head.Target())
 		}
-		// Otherwise the entry is full: structural stall until the
-		// line completes.
+		// Otherwise the entry is full or head runs past its
+		// transaction: structural stall until the line completes.
 		return nil
 	}
 
@@ -186,6 +191,7 @@ func (m *MSHR) Tick(sim.Cycle) []memreq.Built {
 
 	m.q.Pop()
 	e := m.alloc(key, head.Store)
+	e.bytes = size
 	kind := hmc.Read
 	if head.Store {
 		kind = hmc.Write
@@ -193,8 +199,8 @@ func (m *MSHR) Tick(sim.Cycle) []memreq.Built {
 	b := memreq.Built{
 		Req: hmc.Request{
 			Kind: kind,
-			Addr: key &^ (1 << 63),
-			Data: m.cfg.LineBytes,
+			Addr: line,
+			Data: size,
 		},
 		Targets: m.Take(head.Target()),
 		Handle:  e,
