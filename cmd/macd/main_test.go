@@ -37,8 +37,12 @@ func buildMacd(t *testing.T) string {
 // clean exit.
 func startDaemon(t *testing.T, extraArgs ...string) (*service.Client, func()) {
 	t.Helper()
-	bin := buildMacd(t)
+	return startBuilt(t, buildMacd(t), extraArgs...)
+}
 
+// startBuilt is startDaemon for an already built binary.
+func startBuilt(t *testing.T, bin string, extraArgs ...string) (*service.Client, func()) {
+	t.Helper()
 	args := append([]string{"-addr", "127.0.0.1:0"}, extraArgs...)
 	cmd := exec.Command(bin, args...)
 	stdout, err := cmd.StdoutPipe()
@@ -106,6 +110,19 @@ func startDaemon(t *testing.T, extraArgs ...string) (*service.Client, func()) {
 		BaseURL:      "http://" + addr,
 		PollInterval: 10 * time.Millisecond,
 	}, stop
+}
+
+// TestStopRightAfterStart sends SIGTERM the moment the listen line
+// appears, in daemon and router mode: the signal handler must already
+// be in place, so every stop is a clean exit.
+func TestStopRightAfterStart(t *testing.T) {
+	bin := buildMacd(t)
+	for _, mode := range [][]string{nil, {"-cluster-router", "shards=http://127.0.0.1:1"}} {
+		for i := 0; i < 20; i++ {
+			_, stop := startBuilt(t, bin, mode...)
+			stop()
+		}
+	}
 }
 
 // TestDaemonEndToEnd is the acceptance scenario: start macd, submit
