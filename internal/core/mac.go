@@ -163,8 +163,6 @@ func (m *MAC) Tick(now sim.Cycle) []memreq.Built {
 			e, _ := m.agg.Pop()
 			e.span.MarkPop(uint64(now))
 			e.span.MarkBuilt(uint64(now))
-			// The raw request is forwarded on its own, at FLIT
-			// granularity.
 			b := memreq.Direct(e.raw, e.targets)
 			b.Bypassed, b.Span = true, e.span
 			m.note(&b)
