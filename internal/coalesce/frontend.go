@@ -9,15 +9,16 @@ import (
 
 // frontend is the bookkeeping Null, MSHR, Warp and MemCache share: the
 // input FIFO and its held-fence rule, the memreq.Tally behind Stats,
-// Inflight and the in-flight guard of Completed, and the target-slab
-// pool behind Recycle. Each design embeds it and keeps only its own
-// Tick, plus its own Completed and Reset where it tracks
-// per-transaction state.
+// Inflight and the in-flight guard of Completed, the target-slab pool
+// behind Recycle, and the buffer Tick returns. Each design embeds it
+// and keeps only its own Tick, plus its own Completed and Reset where
+// it tracks per-transaction state.
 type frontend struct {
 	q         *queue.FIFO[memreq.RawRequest]
 	heldFence bool
 	memreq.Tally
 	memreq.TargetPool
+	out []memreq.Built
 }
 
 func newFrontend(queueDepth, slabCap int) frontend {
@@ -60,6 +61,13 @@ func (f *frontend) single(r memreq.RawRequest, bypassed bool) memreq.Built {
 	b.Bypassed = bypassed
 	f.CountEmit(&b)
 	return b
+}
+
+// emit returns bs in the frontend's reused Tick buffer, valid until the
+// next Tick, so emitting allocates nothing once the buffer is warm.
+func (f *frontend) emit(bs ...memreq.Built) []memreq.Built {
+	f.out = append(f.out[:0], bs...)
+	return f.out
 }
 
 // Pending returns queued raw requests, counting a held fence.

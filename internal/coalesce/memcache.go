@@ -169,12 +169,12 @@ func (mc *MemCache) Tick(sim.Cycle) []memreq.Built {
 	st := mc.Stats()
 	if head.Atomic {
 		mc.q.Pop()
-		return []memreq.Built{mc.single(head, true)}
+		return mc.emit(mc.single(head, true))
 	}
 	if mc.direct(head.Addr) {
 		mc.q.Pop()
 		st.MemCache.DirectAccesses++
-		return []memreq.Built{mc.single(head, false)}
+		return mc.emit(mc.single(head, false))
 	}
 
 	probe := head.Addr & addr.PhysMask
@@ -204,7 +204,7 @@ func (mc *MemCache) Tick(sim.Cycle) []memreq.Built {
 	if hit {
 		// Served by the stacked cache: one short stacked access.
 		st.MemCache.Hits++
-		return []memreq.Built{mc.single(head, false)}
+		return mc.emit(mc.single(head, false))
 	}
 
 	// Miss: fetch the whole line (write-allocate), extended when the
@@ -220,19 +220,17 @@ func (mc *MemCache) Tick(sim.Cycle) []memreq.Built {
 		Handle:  fe,
 	}
 	mc.CountEmit(&b)
-	out := []memreq.Built{b}
-
-	if evictedDirty {
-		// The victim line held stores: write it back. The transaction
-		// retires no raw request (zero targets).
-		st.MemCache.Writebacks++
-		wb := memreq.Built{
-			Req: hmc.Request{Kind: hmc.Write, Addr: evicted, Data: mc.cfg.LineBytes},
-		}
-		mc.CountEmit(&wb)
-		out = append(out, wb)
+	if !evictedDirty {
+		return mc.emit(b)
 	}
-	return out
+	// The victim line held stores: write it back. The transaction
+	// retires no raw request (zero targets).
+	st.MemCache.Writebacks++
+	wb := memreq.Built{
+		Req: hmc.Request{Kind: hmc.Write, Addr: evicted, Data: mc.cfg.LineBytes},
+	}
+	mc.CountEmit(&wb)
+	return mc.emit(b, wb)
 }
 
 // Completed frees the fill entry of a finished line fetch and folds any

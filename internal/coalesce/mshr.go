@@ -169,7 +169,7 @@ func (m *MSHR) Tick(sim.Cycle) []memreq.Built {
 	}
 	if head.Atomic {
 		m.q.Pop()
-		return []memreq.Built{m.single(head, true)}
+		return m.emit(m.single(head, true))
 	}
 
 	key := m.lineKey(head.Addr, head.Store)
@@ -206,7 +206,7 @@ func (m *MSHR) Tick(sim.Cycle) []memreq.Built {
 		Handle:  e,
 	}
 	m.CountEmit(&b)
-	return []memreq.Built{b}
+	return m.emit(b)
 }
 
 // Completed frees the MSHR entry of the finished transaction and folds

@@ -67,5 +67,5 @@ func (n *Null) Tick(sim.Cycle) []memreq.Built {
 	n.q.Pop()
 	b := n.single(head, false)
 	n.Stats().TargetsPerTx.Observe(1)
-	return []memreq.Built{b}
+	return n.emit(b)
 }

@@ -158,7 +158,7 @@ func (w *Warp) gather() (ok bool, bypass []memreq.Built) {
 		w.q.Pop()
 		b := w.single(head, true)
 		w.Stats().TargetsPerTx.Observe(1)
-		return false, []memreq.Built{b}
+		return false, w.emit(b)
 	}
 
 	ws := w.takeWarp()
@@ -265,7 +265,7 @@ func (w *Warp) emitMaskGroup() []memreq.Built {
 		st.Warp.MasksPerWarp.Observe(ws.masks)
 		w.cur = nil
 	}
-	return []memreq.Built{b}
+	return w.emit(b)
 }
 
 // Completed signals one transaction done; the last completion of a

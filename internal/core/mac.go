@@ -48,6 +48,8 @@ type MAC struct {
 	// heldFence is set while a popped fence waits for outstanding
 	// transactions to drain.
 	heldFence bool
+	// out is the buffer Tick returns, reused from cycle to cycle.
+	out []memreq.Built
 
 	// obs is the run's observability handle (nil when disabled).
 	obs *obs.Obs
@@ -120,9 +122,16 @@ func (m *MAC) Push(r memreq.RawRequest, now sim.Cycle) bool {
 // at most once every PopInterval cycles — the ARQ head pops into the
 // builder, bypasses directly to memory, or (for fences) holds until
 // the outstanding count drains.
+//
+// The returned slice is the unit's own buffer, valid until the next
+// Tick.
 func (m *MAC) Tick(now sim.Cycle) []memreq.Built {
-	var out []memreq.Built
+	m.out = m.tick(now, m.out[:0])
+	return m.out
+}
 
+// tick is Tick appending the cycle's transactions to out.
+func (m *MAC) tick(now sim.Cycle, out []memreq.Built) []memreq.Built {
 	// Occupancy is sampled here — once per tick — rather than inside
 	// Push, so drain phases weigh into the mean (the push-time
 	// sampling bias fix).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"mac3d/internal/hmc"
@@ -27,9 +28,10 @@ func TestResponseRouterRegisterAndDeliver(t *testing.T) {
 	if r.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", r.Pending())
 	}
+	// The buffer holds its own copy of the registered transaction.
 	got, status := r.Deliver(hmc.Response{Tag: tag})
-	if status != RespDelivered || got != b {
-		t.Fatalf("Deliver = (%p, %v), want (%p, delivered)", got, status, b)
+	if status != RespDelivered || got == nil || !reflect.DeepEqual(*got, *b) {
+		t.Fatalf("Deliver = (%+v, %v), want (%+v, delivered)", got, status, b)
 	}
 	if r.Pending() != 0 {
 		t.Fatalf("Pending after delivery = %d, want 0", r.Pending())
@@ -90,8 +92,8 @@ func TestResponseRouterPoisonedDelivery(t *testing.T) {
 	b := built(0x40)
 	tag, _ := r.Register(b, 0)
 	got, status := r.Deliver(hmc.Response{Tag: tag, Poisoned: true})
-	if status != RespPoisoned || got != b {
-		t.Fatalf("Deliver = (%p, %v), want (%p, poisoned)", got, status, b)
+	if status != RespPoisoned || got == nil || !reflect.DeepEqual(*got, *b) {
+		t.Fatalf("Deliver = (%+v, %v), want (%+v, poisoned)", got, status, b)
 	}
 	// The entry is consumed exactly once: no leak, and a duplicate of
 	// the poisoned response classifies as duplicate.
@@ -126,6 +128,42 @@ func TestResponseRouterCapExhaustion(t *testing.T) {
 	tag, ok := r.Register(b3, 1)
 	if !ok || tag != 3 {
 		t.Fatalf("retried Register = (%d, %v), want (3, true)", tag, ok)
+	}
+}
+
+func TestResponseRouterRecycle(t *testing.T) {
+	r := NewResponseRouter(0)
+	tag, _ := r.Register(built(0x40), 0)
+	got, _ := r.Deliver(hmc.Response{Tag: tag})
+	// The delivered Built stays intact while the slab grows past a
+	// chunk, up to its Recycle.
+	var tags []uint64
+	for i := 0; i < 3*txChunk; i++ {
+		tg, _ := r.Register(built(uint64(0x1000+i)), 1)
+		tags = append(tags, tg)
+	}
+	if got.Req.Addr != 0x40 || got.Req.Tag != tag || len(got.Targets) != 1 {
+		t.Fatalf("delivered Built changed before Recycle: %+v", got)
+	}
+	r.Recycle(got)
+	r.Recycle(got) // a second Recycle of the same Built is ignored
+	r.Recycle(built(0x40))
+	for _, tg := range tags {
+		b, status := r.Deliver(hmc.Response{Tag: tg})
+		if status != RespDelivered || b.Req.Tag != tg {
+			t.Fatalf("Deliver(%d) = (%+v, %v)", tg, b, status)
+		}
+		r.Recycle(b)
+	}
+	// Once warm, a register→deliver→recycle cycle reuses slots.
+	allocs := testing.AllocsPerRun(100, func() {
+		b := memreq.Built{Req: hmc.Request{Addr: 0x80}}
+		tg, _ := r.Register(&b, 2)
+		got, _ := r.Deliver(hmc.Response{Tag: tg})
+		r.Recycle(got)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm register/deliver/recycle allocates %.1f times", allocs)
 	}
 }
 

@@ -258,11 +258,16 @@ type ResponseRouterStats struct {
 	RegisterRejects uint64
 }
 
-// pendingTx is one outstanding built transaction awaiting its response.
+// pendingTx is one target-buffer slot: a built transaction, held by
+// value, and the cycle it was registered.
 type pendingTx struct {
-	b          *memreq.Built
+	b          memreq.Built
 	registered sim.Cycle
 }
+
+// txChunk is the number of slots allocated together. Chunks never move,
+// so a slot's address stays valid for as long as the slot is held.
+const txChunk = 64
 
 // ResponseRouter is the §3.3 response router's bookkeeping half: it
 // owns the target buffer mapping device tags to built transactions.
@@ -270,12 +275,24 @@ type pendingTx struct {
 // Deliver tell a duplicate (tag already issued and retired) from a
 // response that was never issued at all — without retaining retired
 // entries.
+//
+// The buffer holds transactions by value in a slab of fixed chunks
+// with a free list, so registering one allocates nothing once the slab
+// has grown to the run's peak occupancy. A slot lives from Register
+// until the driver hands the delivered transaction back through
+// Recycle.
 type ResponseRouter struct {
 	// cap bounds outstanding transactions; 0 means unbounded.
-	cap         int
-	outstanding map[uint64]pendingTx
-	lastTag     uint64
-	st          ResponseRouterStats
+	cap int
+	// outstanding maps the tag of every undelivered transaction to
+	// its slot.
+	outstanding map[uint64]int32
+	slab        []*[txChunk]pendingTx
+	free        []int32
+	// delivered holds the slots Deliver handed out, until Recycle.
+	delivered []int32
+	lastTag   uint64
+	st        ResponseRouterStats
 }
 
 // NewResponseRouter builds a response router whose target buffer holds
@@ -283,22 +300,38 @@ type ResponseRouter struct {
 func NewResponseRouter(maxOutstanding int) *ResponseRouter {
 	return &ResponseRouter{
 		cap:         maxOutstanding,
-		outstanding: make(map[uint64]pendingTx),
+		outstanding: make(map[uint64]int32),
 	}
 }
 
-// Register assigns b a fresh device tag and parks it in the target
-// buffer until its response arrives. It reports false — without
-// consuming a tag — when the buffer is full; the caller must hold the
-// transaction and retry (backpressure).
+// slot returns the slot at index i.
+func (r *ResponseRouter) slot(i int32) *pendingTx {
+	return &r.slab[i/txChunk][i%txChunk]
+}
+
+// Register assigns b a fresh device tag, stamps it into b.Req.Tag, and
+// parks a copy of b in the target buffer until its response arrives.
+// It reports false — without consuming a tag — when the buffer is
+// full; the caller must hold the transaction and retry
+// (backpressure). Register does not retain b.
 func (r *ResponseRouter) Register(b *memreq.Built, now sim.Cycle) (uint64, bool) {
 	if r.cap > 0 && len(r.outstanding) >= r.cap {
 		r.st.RegisterRejects++
 		return 0, false
 	}
+	if len(r.free) == 0 {
+		base := int32(len(r.slab) * txChunk)
+		r.slab = append(r.slab, new([txChunk]pendingTx))
+		for i := int32(txChunk) - 1; i >= 0; i-- {
+			r.free = append(r.free, base+i)
+		}
+	}
+	i := r.free[len(r.free)-1]
+	r.free = r.free[:len(r.free)-1]
 	r.lastTag++
 	b.Req.Tag = r.lastTag
-	r.outstanding[r.lastTag] = pendingTx{b: b, registered: now}
+	*r.slot(i) = pendingTx{b: *b, registered: now}
+	r.outstanding[r.lastTag] = i
 	return r.lastTag, true
 }
 
@@ -306,9 +339,10 @@ func (r *ResponseRouter) Register(b *memreq.Built, now sim.Cycle) (uint64, bool)
 // delivery. The returned Built is non-nil only for RespDelivered and
 // RespPoisoned; either way the entry is removed exactly once, so
 // duplicate or unknown responses can never leak or double-retire a
-// transaction.
+// transaction. The returned Built stays valid until it is passed to
+// Recycle.
 func (r *ResponseRouter) Deliver(resp hmc.Response) (*memreq.Built, ResponseStatus) {
-	tx, ok := r.outstanding[resp.Tag]
+	i, ok := r.outstanding[resp.Tag]
 	if !ok {
 		if resp.Tag != 0 && resp.Tag <= r.lastTag {
 			r.st.Duplicates++
@@ -318,12 +352,33 @@ func (r *ResponseRouter) Deliver(resp hmc.Response) (*memreq.Built, ResponseStat
 		return nil, RespUnknown
 	}
 	delete(r.outstanding, resp.Tag)
+	r.delivered = append(r.delivered, i)
+	b := &r.slot(i).b
 	if resp.Poisoned {
 		r.st.Poisoned++
-		return tx.b, RespPoisoned
+		return b, RespPoisoned
 	}
 	r.st.Delivered++
-	return tx.b, RespDelivered
+	return b, RespDelivered
+}
+
+// Recycle frees the slot of a Built that Deliver returned, once the
+// driver is completely done with it; b must not be used afterwards. A
+// pointer Deliver did not hand out is ignored. A driver that never
+// recycles keeps every delivered slot allocated.
+func (r *ResponseRouter) Recycle(b *memreq.Built) {
+	for k, i := range r.delivered {
+		s := r.slot(i)
+		if &s.b != b {
+			continue
+		}
+		*s = pendingTx{}
+		last := len(r.delivered) - 1
+		r.delivered[k] = r.delivered[last]
+		r.delivered = r.delivered[:last]
+		r.free = append(r.free, i)
+		return
+	}
 }
 
 // Pending returns the number of outstanding transactions.
@@ -334,9 +389,10 @@ func (r *ResponseRouter) Pending() int { return len(r.outstanding) }
 // buffer is empty.
 func (r *ResponseRouter) Oldest() (tag uint64, registered sim.Cycle, b *memreq.Built, ok bool) {
 	first := true
-	for t, tx := range r.outstanding {
+	for t, i := range r.outstanding {
+		tx := r.slot(i)
 		if first || tx.registered < registered || (tx.registered == registered && t < tag) {
-			tag, registered, b, ok = t, tx.registered, tx.b, true
+			tag, registered, b, ok = t, tx.registered, &tx.b, true
 			first = false
 		}
 	}
@@ -349,6 +405,11 @@ func (r *ResponseRouter) Stats() ResponseRouterStats { return r.st }
 // Reset empties the target buffer and statistics.
 func (r *ResponseRouter) Reset() {
 	clear(r.outstanding)
+	r.free, r.delivered = r.free[:0], r.delivered[:0]
+	for i := int32(len(r.slab)*txChunk) - 1; i >= 0; i-- {
+		*r.slot(i) = pendingTx{}
+		r.free = append(r.free, i)
+	}
 	r.lastTag = 0
 	r.st = ResponseRouterStats{}
 }

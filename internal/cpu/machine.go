@@ -23,6 +23,11 @@ type Machine struct {
 	nodes []*Node
 	// fab is the interconnect; nil for a lone node.
 	fab noc.Fabric[payload]
+	// land is fab's delivery callback, bound once so the per-cycle
+	// Deliver call allocates no closure; landAt is the cycle it lands
+	// messages at.
+	land   func(noc.Message[payload]) bool
+	landAt sim.Cycle
 	// reqBudget bounds request injections per node per cycle: the
 	// ideal fabric keeps the legacy LinkBandwidth messages-per-cycle
 	// semantics; routed fabrics backpressure through Send instead.
@@ -77,6 +82,7 @@ func NewMachine(nodes []*Node, net noc.Config, eng *chaos.Engine) (*Machine, err
 	}
 	m := newMachine(nodes, eng)
 	m.fab = fab
+	m.land = m.landMessage
 	m.reqBudget = 1 << 30
 	if net.Topology == noc.Ideal {
 		m.reqBudget = net.LinkBandwidth
@@ -273,11 +279,11 @@ func respFlits(k hmc.Kind) int {
 // requests from the Global Access Queue. Routed fabrics take requests
 // until the injection queue refuses.
 func (n *Node) pumpOutbound(now sim.Cycle, budget int) {
-	for len(n.respOut) > 0 {
-		if !n.fab.Send(now, n.respOut[0]) {
+	for msg := n.respOut.Front(); msg != nil; msg = n.respOut.Front() {
+		if !n.fab.Send(now, *msg) {
 			return
 		}
-		n.respOut = n.respOut[1:]
+		n.respOut.Pop()
 		n.progress++
 	}
 	for sent := 0; sent < budget; sent++ {
@@ -311,7 +317,7 @@ func (n *Node) returnRemote(home int, tgt memreq.Target, kind hmc.Kind, poisoned
 		Payload: payload{isResponse: true, poisoned: poisoned, target: tgt},
 	}
 	if !n.fab.Send(now, msg) {
-		n.respOut = append(n.respOut, msg)
+		n.respOut.PushGrow(msg)
 	}
 }
 
@@ -320,14 +326,18 @@ func (n *Node) returnRemote(home int, tgt memreq.Target, kind hmc.Kind, poisoned
 // is full stays queued in the fabric — without letting younger traffic
 // from its source pass it — and is offered again next cycle.
 func (m *Machine) landMessages(now sim.Cycle) {
-	m.fab.Deliver(now, func(msg noc.Message[payload]) bool {
-		dst := m.nodes[msg.Dst]
-		if msg.Payload.isResponse {
-			// Machine nodes keep no ledger (DESIGN §9), so the
-			// transaction's extent is not carried across the fabric.
-			dst.retire(msg.Payload.target, 0, 0, msg.Payload.poisoned, now)
-			return true
-		}
-		return dst.router.OfferRemote(msg.Payload.req)
-	})
+	m.landAt = now
+	m.fab.Deliver(now, m.land)
+}
+
+// landMessage lands one arrived message at cycle landAt.
+func (m *Machine) landMessage(msg noc.Message[payload]) bool {
+	dst := m.nodes[msg.Dst]
+	if msg.Payload.isResponse {
+		// Machine nodes keep no ledger (DESIGN §9), so the
+		// transaction's extent is not carried across the fabric.
+		dst.retire(msg.Payload.target, 0, 0, msg.Payload.poisoned, m.landAt)
+		return true
+	}
+	return dst.router.OfferRemote(msg.Payload.req)
 }

@@ -21,6 +21,7 @@ import (
 	"mac3d/internal/memreq"
 	"mac3d/internal/noc"
 	"mac3d/internal/obs"
+	"mac3d/internal/queue"
 	"mac3d/internal/sim"
 	"mac3d/internal/stats"
 	"mac3d/internal/trace"
@@ -237,8 +238,10 @@ type Node struct {
 	// transactions and classifies every delivery.
 	resp *core.ResponseRouter
 	// deferred holds built transactions refused by a full target
-	// buffer, resubmitted in order once entries free up.
-	deferred []memreq.Built
+	// buffer, resubmitted in order once entries free up. It never holds
+	// more than one Tick's output: the coalescer is not ticked while it
+	// is non-empty.
+	deferred *queue.FIFO[memreq.Built]
 
 	// obs is the run's observability handle; nil when disabled, and
 	// every use is nil-safe so the hot path pays only pointer checks.
@@ -253,7 +256,7 @@ type Node struct {
 	fab noc.Fabric[payload]
 	// respOut parks response messages the fabric refused (routed
 	// topologies backpressure injection); drained before requests.
-	respOut []noc.Message[payload]
+	respOut *queue.FIFO[noc.Message[payload]]
 
 	// audit is the request-lifecycle ledger; nil when disabled, and
 	// every call is nil-safe like the obs handle.
@@ -314,12 +317,14 @@ func NewNode(cfg Config, coal memreq.Coalescer, dev *hmc.Device) (*Node, error) 
 	}
 	mac, _ := coal.(*core.MAC)
 	return &Node{
-		cfg:    cfg,
-		router: router,
-		coal:   coal,
-		mac:    mac,
-		dev:    dev,
-		resp:   core.NewResponseRouter(cfg.TargetBufferDepth),
+		cfg:      cfg,
+		router:   router,
+		coal:     coal,
+		mac:      mac,
+		dev:      dev,
+		resp:     core.NewResponseRouter(cfg.TargetBufferDepth),
+		deferred: queue.New[memreq.Built](2),
+		respOut:  queue.New[noc.Message[payload]](8),
 	}, nil
 }
 
@@ -382,7 +387,7 @@ func (n *Node) AttachObs(o *obs.Obs) {
 		return float64(total)
 	})
 	rec.Watch("node.inflight_tx", func() float64 { return float64(n.resp.Pending()) })
-	rec.Watch("node.deferred_tx", func() float64 { return float64(len(n.deferred)) })
+	rec.Watch("node.deferred_tx", func() float64 { return float64(n.deferred.Len()) })
 	rec.Watch("node.router.pending", func() float64 { return float64(n.router.Pending()) })
 }
 
@@ -573,9 +578,9 @@ func (n *Node) tickCoalescer(now sim.Cycle) {
 		n.sampleCoalescer()
 		return
 	}
-	if len(n.deferred) > 0 {
+	if !n.deferred.Empty() {
 		n.submitDeferred(now)
-		if len(n.deferred) > 0 {
+		if !n.deferred.Empty() {
 			// Still blocked on the target buffer: don't pull more
 			// transactions out of the coalescer, or ordering breaks.
 			n.sampleCoalescer()
@@ -586,21 +591,23 @@ func (n *Node) tickCoalescer(now sim.Cycle) {
 		n.sampleCoalescer()
 		return
 	}
-	for _, b := range n.coal.Tick(now) {
-		if !n.submit(b, now) {
-			n.deferred = append(n.deferred, b)
+	out := n.coal.Tick(now)
+	for i := range out {
+		if !n.submit(&out[i], now) {
+			n.deferred.PushGrow(out[i])
 		}
 	}
 }
 
-// submit registers a built transaction in the target buffer and hands
-// it to the device; false means the target buffer is full.
-func (n *Node) submit(b memreq.Built, now sim.Cycle) bool {
-	tag, ok := n.resp.Register(&b, now)
+// submit registers a built transaction in the target buffer, which
+// keeps its own copy, and hands it to the device; false means the
+// target buffer is full.
+func (n *Node) submit(b *memreq.Built, now sim.Cycle) bool {
+	tag, ok := n.resp.Register(b, now)
 	if !ok {
 		return false
 	}
-	n.bindTargets(&b, tag, now)
+	n.bindTargets(b, tag, now)
 	b.Span.MarkSubmit(uint64(now))
 	n.dev.Submit(b.Req, now)
 	n.progress++
@@ -634,8 +641,8 @@ func (n *Node) sampleCoalescer() {
 // submitDeferred retries transactions previously refused by a full
 // target buffer, in their original order.
 func (n *Node) submitDeferred(now sim.Cycle) {
-	for len(n.deferred) > 0 && n.dev.CanAccept() && n.submit(n.deferred[0], now) {
-		n.deferred = n.deferred[1:]
+	for !n.deferred.Empty() && n.dev.CanAccept() && n.submit(n.deferred.Front(), now) {
+		n.deferred.Pop()
 	}
 }
 
@@ -683,8 +690,10 @@ func (n *Node) deliverResponses(now sim.Cycle) {
 		}
 		// Every target has been consumed (retired here or copied into
 		// a response message) and the span recorded: hand the
-		// transaction's slab back to the coalescer.
+		// transaction's target slab back to the coalescer and its
+		// target-buffer slot back to the response router.
 		n.coal.Recycle(b)
+		n.resp.Recycle(b)
 	}
 }
 
@@ -760,7 +769,7 @@ func (n *Node) scheduleRetry(tgt memreq.Target, now sim.Cycle) bool {
 // drained reports whether all work has retired.
 func (n *Node) drained() bool {
 	if n.router.Pending() > 0 || n.coal.Pending() > 0 || n.coal.Inflight() > 0 ||
-		n.dev.Pending() > 0 || len(n.deferred) > 0 || len(n.respOut) > 0 ||
+		n.dev.Pending() > 0 || !n.deferred.Empty() || !n.respOut.Empty() ||
 		n.chaos.HeldResponses() > 0 || len(n.retryPend) > 0 {
 		return false
 	}
@@ -875,7 +884,7 @@ func (n *Node) stallReport(e *StallError, now sim.Cycle) []stats.KV {
 	e.CoalescerInflight += n.coal.Inflight()
 	e.DevicePending += n.dev.Pending()
 	e.OutstandingTx += n.resp.Pending()
-	e.DeferredTx += len(n.deferred)
+	e.DeferredTx += n.deferred.Len()
 	kvs := []stats.KV{
 		{Key: "threads blocked", Value: blocked},
 		{Key: "request router pending", Value: n.router.Pending()},
@@ -883,7 +892,7 @@ func (n *Node) stallReport(e *StallError, now sim.Cycle) []stats.KV {
 		{Key: "coalescer inflight", Value: n.coal.Inflight()},
 		{Key: "device pending", Value: n.dev.Pending()},
 		{Key: "target buffer outstanding", Value: n.resp.Pending()},
-		{Key: "deferred transactions", Value: len(n.deferred)},
+		{Key: "deferred transactions", Value: n.deferred.Len()},
 	}
 	if tag, registered, b, ok := n.resp.Oldest(); ok {
 		age := now - registered

@@ -351,16 +351,21 @@ type cubeState struct {
 	q [][]cubeInject
 	// queued counts entries across q.
 	queued int
-	// next is the first cycle advance has not yet simulated.
-	next sim.Cycle
+	// next is the first cycle advance has not yet simulated; at is the
+	// cycle it is simulating, read by sink.
+	next, at sim.Cycle
+	// sink is the fabric's delivery callback, bound once so the
+	// per-cycle Deliver call allocates no closure.
+	sink func(noc.Message[cubeMsg]) bool
 	// inFlight counts accesses between Submit and their response-heap
 	// push (or drop): queued, crossing, or at a vault.
 	inFlight int
 }
 
-// newCubeState builds the fabric runtime for a routed cube config; it
-// must only be called after Config.Validate accepted cfg.
-func newCubeState(cfg Config) (*cubeState, error) {
+// newCubeState builds the fabric runtime for a routed cube config, with
+// sink as its delivery callback; it must only be called after
+// Config.Validate accepted cfg.
+func newCubeState(cfg Config, sink func(noc.Message[cubeMsg]) bool) (*cubeState, error) {
 	ncfg, err := cfg.Cube.nocConfig(cfg.Links, cfg.Vaults)
 	if err != nil {
 		return nil, err
@@ -370,8 +375,9 @@ func newCubeState(cfg Config) (*cubeState, error) {
 		return nil, fmt.Errorf("hmc: cube fabric: %w", err)
 	}
 	return &cubeState{
-		fab: fab,
-		q:   make([][]cubeInject, cfg.Links+cfg.Vaults),
+		fab:  fab,
+		q:    make([][]cubeInject, cfg.Links+cfg.Vaults),
+		sink: sink,
 	}, nil
 }
 
@@ -441,12 +447,17 @@ func (d *Device) cubeAdvance(now sim.Cycle) {
 			continue
 		}
 		c.fab.Tick(t)
-		c.fab.Deliver(t, func(m noc.Message[cubeMsg]) bool {
-			d.cubeDeliver(t, m)
-			return true
-		})
+		c.at = t
+		c.fab.Deliver(t, c.sink)
 	}
 	c.next = now + 1
+}
+
+// cubeSink is the fabric's delivery callback: every arrival lands at
+// the cycle cubeAdvance is simulating.
+func (d *Device) cubeSink(m noc.Message[cubeMsg]) bool {
+	d.cubeDeliver(d.cube.at, m)
+	return true
 }
 
 // cubePump attempts every due injection. Refusals (full injection
@@ -460,10 +471,10 @@ func (d *Device) cubePump(t sim.Cycle) {
 		if len(q) == 0 {
 			continue
 		}
-		kept := q[:0]
+		kept := 0
 		blocked := false
 		for i := range q {
-			e := q[i]
+			e := &q[i]
 			if !blocked && e.ready <= t {
 				if c.fab.Send(t, e.m) {
 					c.queued--
@@ -471,9 +482,12 @@ func (d *Device) cubePump(t sim.Cycle) {
 				}
 				blocked = true
 			}
-			kept = append(kept, e)
+			if kept != i {
+				q[kept] = *e
+			}
+			kept++
 		}
-		c.q[n] = kept
+		c.q[n] = q[:kept]
 	}
 }
 

@@ -135,7 +135,10 @@ type Coalescer interface {
 	// the request was accepted.
 	Push(r RawRequest, now sim.Cycle) bool
 	// Tick advances internal pipelines and returns the transactions
-	// that completed building this cycle, in issue order.
+	// that completed building this cycle, in issue order. The slice is
+	// the coalescer's own buffer, valid until the next Tick: a driver
+	// that keeps a Built past that copies it out (the Built value, not
+	// its Targets, which stay valid until Recycle).
 	Tick(now sim.Cycle) []Built
 	// Completed notifies the coalescer that one previously emitted
 	// transaction has fully completed (response routed).

@@ -1,9 +1,8 @@
 package noc
 
 import (
-	"container/heap"
-
 	"mac3d/internal/obs"
+	"mac3d/internal/queue"
 	"mac3d/internal/sim"
 )
 
@@ -21,7 +20,9 @@ import (
 // message from a parked source, preserving per-source FIFO.
 type idealFabric[P any] struct {
 	cfg Config
-	h   idealHeap[P]
+	// h orders messages by delivery cycle only — the exact discipline
+	// (including container/heap's tie order) of the pre-NoC model.
+	h queue.Heap[idealMsg[P]]
 	// parked holds refused deliveries in arrival order; blockedSrc is
 	// the per-cycle scratch marking sources with a parked message.
 	parked     []idealMsg[P]
@@ -37,25 +38,10 @@ type idealMsg[P any] struct {
 	m       Message[P]
 }
 
-// idealHeap orders messages by delivery cycle only — the exact
-// discipline (including unspecified tie order) of the pre-NoC model.
-type idealHeap[P any] []idealMsg[P]
-
-func (h idealHeap[P]) Len() int           { return len(h) }
-func (h idealHeap[P]) Less(i, j int) bool { return h[i].deliver < h[j].deliver }
-func (h idealHeap[P]) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *idealHeap[P]) Push(x any)        { *h = append(*h, x.(idealMsg[P])) }
-func (h *idealHeap[P]) Pop() (out any) {
-	old := *h
-	n := len(old)
-	out = old[n-1]
-	*h = old[:n-1]
-	return
-}
-
 func newIdeal[P any](cfg Config) *idealFabric[P] {
 	return &idealFabric[P]{
 		cfg:        cfg,
+		h:          queue.NewHeap(func(a, b *idealMsg[P]) bool { return a.deliver < b.deliver }),
 		blockedSrc: make([]bool, cfg.Nodes),
 		st:         Stats{Topology: cfg.Topology},
 	}
@@ -65,7 +51,7 @@ func (f *idealFabric[P]) Send(now sim.Cycle, m Message[P]) bool {
 	if m.Flits <= 0 {
 		m.Flits = 1
 	}
-	heap.Push(&f.h, idealMsg[P]{deliver: now + f.cfg.LinkLatency, sent: now, m: m})
+	f.h.Push(idealMsg[P]{deliver: now + f.cfg.LinkLatency, sent: now, m: m})
 	f.inflight++
 	f.st.Sent++
 	f.st.FlitsSent += uint64(m.Flits)
@@ -93,8 +79,8 @@ func (f *idealFabric[P]) Deliver(now sim.Cycle, sink func(m Message[P]) bool) {
 		}
 		f.parked = keep
 	}
-	for f.h.Len() > 0 && f.h[0].deliver <= now {
-		p := heap.Pop(&f.h).(idealMsg[P])
+	for f.h.Len() > 0 && f.h.Min().deliver <= now {
+		p := f.h.Pop()
 		if f.blockedSrc[p.m.Src] || !sink(p.m) {
 			f.blockedSrc[p.m.Src] = true
 			f.st.DeliverRetries++

@@ -4,12 +4,22 @@ import (
 	"fmt"
 
 	"mac3d/internal/obs"
+	"mac3d/internal/queue"
 	"mac3d/internal/sim"
 )
 
 // traceEmitInterval is how often (in cycles) the routed fabric emits a
 // per-link buffer-occupancy counter event when tracing is enabled.
 const traceEmitInterval = 256
+
+// ringPrealloc caps the capacity a fabric ring is built with. Every
+// ring's occupancy is bounded by the flow control (see newRouted); a
+// ring whose bound is at most this is built at that bound and never
+// grows, which covers the default configurations. A larger bound —
+// buffers may be configured up to 2^20 flits on up to 1024 nodes —
+// starts here and doubles on demand, so a huge configuration costs
+// memory only for the occupancy it reaches.
+const ringPrealloc = 64
 
 // routedMsg wraps a message with its in-network bookkeeping.
 type routedMsg[P any] struct {
@@ -29,7 +39,7 @@ type transitMsg[P any] struct {
 // the free space, so arrivals never overflow.
 type inPort[P any] struct {
 	linkID    int
-	q         []routedMsg[P]
+	q         *queue.FIFO[routedMsg[P]]
 	usedFlits int
 }
 
@@ -43,12 +53,12 @@ type routedFabric[P any] struct {
 	busyUntil  []sim.Cycle
 	stallUntil []sim.Cycle
 	credits    []int // free flits in the downstream input buffer
-	transit    [][]transitMsg[P]
+	transit    []*queue.FIFO[transitMsg[P]]
 
 	// Per-node state.
 	ports      [][]inPort[P]
-	inject     [][]routedMsg[P]
-	eject      [][]routedMsg[P]
+	inject     []*queue.FIFO[routedMsg[P]]
+	eject      []*queue.FIFO[routedMsg[P]]
 	ejectFlits []int
 	rr         []int // switch-allocation round-robin start per node
 
@@ -91,22 +101,32 @@ func newRouted[P any](cfg Config) (*routedFabric[P], error) {
 		busyUntil:     make([]sim.Cycle, len(topo.links)),
 		stallUntil:    make([]sim.Cycle, len(topo.links)),
 		credits:       make([]int, len(topo.links)),
-		transit:       make([][]transitMsg[P], len(topo.links)),
+		transit:       make([]*queue.FIFO[transitMsg[P]], len(topo.links)),
 		ports:         make([][]inPort[P], cfg.Nodes),
-		inject:        make([][]routedMsg[P], cfg.Nodes),
-		eject:         make([][]routedMsg[P], cfg.Nodes),
+		inject:        make([]*queue.FIFO[routedMsg[P]], cfg.Nodes),
+		eject:         make([]*queue.FIFO[routedMsg[P]], cfg.Nodes),
 		ejectFlits:    make([]int, cfg.Nodes),
 		rr:            make([]int, cfg.Nodes),
 		ringFree:      make([]int, topo.rings),
 		bubbleReserve: cfg.Nodes*(MaxMessageFlits-1) + 1,
 		st:            Stats{Topology: cfg.Topology},
 	}
+	// Ring sizes come from bounds the flow control enforces exactly.
+	// Every message is at least one flit, and a link's credits cover
+	// its downstream input buffer, so a link's transit queue and its
+	// input port each hold at most BufferFlits messages; the ejection
+	// check caps an eject queue at BufferFlits flits, and Send caps an
+	// injection queue at InjectDepth messages.
+	buf := min(cfg.BufferFlits, ringPrealloc)
 	for n := 0; n < cfg.Nodes; n++ {
 		f.ports[n] = make([]inPort[P], topo.ports[n])
+		f.inject[n] = queue.New[routedMsg[P]](min(cfg.InjectDepth, ringPrealloc))
+		f.eject[n] = queue.New[routedMsg[P]](buf)
 	}
 	for _, l := range topo.links {
 		f.credits[l.id] = cfg.BufferFlits
-		f.ports[l.to][l.port].linkID = l.id
+		f.transit[l.id] = queue.New[transitMsg[P]](buf)
+		f.ports[l.to][l.port] = inPort[P]{linkID: l.id, q: queue.New[routedMsg[P]](buf)}
 		if l.ring >= 0 {
 			f.ringFree[l.ring] += cfg.BufferFlits
 		}
@@ -129,14 +149,14 @@ func (f *routedFabric[P]) Send(now sim.Cycle, m Message[P]) bool {
 			f.st.InjectRejects++
 			return false
 		}
-		f.eject[m.Src] = append(f.eject[m.Src], rm)
+		f.eject[m.Src].PushGrow(rm)
 		f.ejectFlits[m.Src] += m.Flits
 	} else {
-		if len(f.inject[m.Src]) >= f.cfg.InjectDepth {
+		if f.inject[m.Src].Len() >= f.cfg.InjectDepth {
 			f.st.InjectRejects++
 			return false
 		}
-		f.inject[m.Src] = append(f.inject[m.Src], rm)
+		f.inject[m.Src].PushGrow(rm)
 	}
 	f.inflight++
 	f.st.Sent++
@@ -150,34 +170,32 @@ func (f *routedFabric[P]) Send(now sim.Cycle, m Message[P]) bool {
 // tries to inject its queue head.
 func (f *routedFabric[P]) Tick(now sim.Cycle) {
 	// 1. Arrivals. Buffer space was reserved by the sender's credits.
-	for l := range f.transit {
-		q := f.transit[l]
-		for len(q) > 0 && q[0].arrive <= now {
+	for l, q := range f.transit {
+		for t := q.Front(); t != nil && t.arrive <= now; t = q.Front() {
 			p := &f.ports[f.topo.links[l].to][f.topo.links[l].port]
-			p.q = append(p.q, q[0].msg)
-			p.usedFlits += q[0].msg.m.Flits
+			p.q.PushGrow(t.msg)
+			p.usedFlits += t.msg.m.Flits
 			if p.usedFlits > f.st.Links[l].MaxBufferFlits {
 				f.st.Links[l].MaxBufferFlits = p.usedFlits
 			}
-			q = q[1:]
+			q.Pop()
 		}
-		f.transit[l] = q
 	}
 	// 2. Switch allocation, round-robin over input ports for fairness.
 	for n := range f.ports {
 		np := len(f.ports[n])
 		for k := 0; k < np; k++ {
 			p := &f.ports[n][(f.rr[n]+k)%np]
-			if len(p.q) == 0 {
+			head := p.q.Front()
+			if head == nil {
 				continue
 			}
-			head := p.q[0]
 			if head.m.Dst == n {
 				// Eject into the (bounded) delivery buffer.
 				if f.ejectFlits[n]+head.m.Flits > f.cfg.BufferFlits {
 					continue
 				}
-				f.eject[n] = append(f.eject[n], head)
+				f.eject[n].PushGrow(*head)
 				f.ejectFlits[n] += head.m.Flits
 				f.popPort(p, head.m.Flits)
 				continue
@@ -193,16 +211,16 @@ func (f *routedFabric[P]) Tick(now sim.Cycle) {
 		}
 	}
 	// 3. Injection (loses to in-network traffic on a contended link).
-	for n := range f.inject {
-		if len(f.inject[n]) == 0 {
+	for n, q := range f.inject {
+		head := q.Front()
+		if head == nil {
 			continue
 		}
-		head := f.inject[n][0]
 		out := f.topo.route(n, head.m.Dst)
 		if !f.trySend(now, out, head, true) {
 			continue
 		}
-		f.inject[n] = f.inject[n][1:]
+		q.Pop()
 	}
 	if f.tracer != nil && now%traceEmitInterval == 0 {
 		f.emitTrace(now)
@@ -213,7 +231,7 @@ func (f *routedFabric[P]) Tick(now sim.Cycle) {
 // its flits as credits to the upstream sender (idealized zero-latency
 // credit wires; the buffer bound itself is still strictly enforced).
 func (f *routedFabric[P]) popPort(p *inPort[P], flits int) {
-	p.q = p.q[1:]
+	p.q.Pop()
 	p.usedFlits -= flits
 	f.credits[p.linkID] += flits
 	if r := f.topo.links[p.linkID].ring; r >= 0 {
@@ -225,7 +243,7 @@ func (f *routedFabric[P]) popPort(p *inPort[P], flits int) {
 // marks a first hop, which on a ring must keep ringFree above
 // bubbleReserve (critical-bubble flow control); forwarding is exempt,
 // so the bubble can always rotate.
-func (f *routedFabric[P]) trySend(now sim.Cycle, out int, head routedMsg[P], inject bool) bool {
+func (f *routedFabric[P]) trySend(now sim.Cycle, out int, head *routedMsg[P], inject bool) bool {
 	ls := &f.st.Links[out]
 	if f.busyUntil[out] > now {
 		return false
@@ -254,11 +272,9 @@ func (f *routedFabric[P]) trySend(now sim.Cycle, out int, head routedMsg[P], inj
 		// bubble check depends on.
 		f.ringFree[ring] -= flits
 	}
-	head.hops++
-	f.transit[out] = append(f.transit[out], transitMsg[P]{
-		arrive: now + ser + f.cfg.LinkLatency,
-		msg:    head,
-	})
+	t := transitMsg[P]{arrive: now + ser + f.cfg.LinkLatency, msg: *head}
+	t.msg.hops++
+	f.transit[out].PushGrow(t)
 	ls.Messages++
 	ls.Flits += uint64(flits)
 	ls.BusyCycles += uint64(ser)
@@ -266,21 +282,20 @@ func (f *routedFabric[P]) trySend(now sim.Cycle, out int, head routedMsg[P], inj
 }
 
 func (f *routedFabric[P]) Deliver(now sim.Cycle, sink func(m Message[P]) bool) {
-	for n := range f.eject {
-		for len(f.eject[n]) > 0 {
-			head := f.eject[n][0]
+	for n, q := range f.eject {
+		for head := q.Front(); head != nil; head = q.Front() {
 			if !sink(head.m) {
 				// Destination backpressure: the head keeps its place,
 				// so per-(src,dst) FIFO order survives the refusal.
 				f.st.DeliverRetries++
 				break
 			}
-			f.eject[n] = f.eject[n][1:]
 			f.ejectFlits[n] -= head.m.Flits
 			f.inflight--
 			f.st.Delivered++
 			f.st.Hops.Observe(uint64(head.hops))
 			f.st.NetLatency.Observe(uint64(now - head.sent))
+			q.Pop()
 		}
 	}
 }

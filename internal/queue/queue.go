@@ -1,9 +1,15 @@
-// Package queue provides the bounded FIFO ring buffer used for every
-// hardware queue in the model: the request router's Local/Global/Remote
-// access queues, per-vault request queues, and core load/store queues.
+// Package queue provides the two containers the model's hot paths run
+// on, both allocation-free once warm:
 //
-// The queues keep occupancy statistics so the experiment harness can
-// report contention and sizing data without extra instrumentation.
+//   - FIFO, the bounded ring buffer used for every hardware queue: the
+//     request router's Local/Global/Remote access queues, the
+//     coalescer input queues, the routed noc fabric's link, port,
+//     injection and ejection buffers, and the node's holding queues.
+//     It keeps occupancy statistics so the experiment harness can
+//     report contention and sizing data without extra
+//     instrumentation.
+//   - Heap, the typed min-heap behind the device's response queue and
+//     the ideal noc crossbar.
 package queue
 
 import "fmt"
@@ -51,12 +57,41 @@ func (q *FIFO[T]) Push(v T) bool {
 		q.rejects++
 		return false
 	}
-	q.buf[(q.head+q.size)%len(q.buf)] = v
+	q.buf[q.wrap(q.head+q.size)] = v
 	q.size++
 	if q.size > q.maxSize {
 		q.maxSize = q.size
 	}
 	return true
+}
+
+// PushGrow appends v, doubling the ring when it is full, so it never
+// refuses. It is for queues whose bound the caller enforces itself
+// (credits, a bounded producer): such a ring stops growing at that
+// bound and is allocation-free from then on.
+func (q *FIFO[T]) PushGrow(v T) {
+	if q.size == len(q.buf) {
+		q.grow()
+	}
+	q.Push(v)
+}
+
+// grow doubles the ring, unwrapping its elements to the front.
+func (q *FIFO[T]) grow() {
+	buf := make([]T, 2*len(q.buf))
+	for i := 0; i < q.size; i++ {
+		buf[i] = q.buf[q.wrap(q.head+i)]
+	}
+	q.buf, q.head = buf, 0
+}
+
+// wrap reduces a ring index in [0, 2*Cap) into [0, Cap) without a
+// division.
+func (q *FIFO[T]) wrap(i int) int {
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	return i
 }
 
 // Pop removes and returns the oldest element. ok is false when empty.
@@ -67,9 +102,19 @@ func (q *FIFO[T]) Pop() (v T, ok bool) {
 	v = q.buf[q.head]
 	var zero T
 	q.buf[q.head] = zero
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = q.wrap(q.head + 1)
 	q.size--
 	return v, true
+}
+
+// Front returns a pointer to the oldest element, or nil when the queue
+// is empty. It lets a caller read or update a large head in place; the
+// pointer is valid until the next Push, PushGrow, Pop or Reset.
+func (q *FIFO[T]) Front() *T {
+	if q.size == 0 {
+		return nil
+	}
+	return &q.buf[q.head]
 }
 
 // Peek returns the oldest element without removing it.
@@ -86,7 +131,7 @@ func (q *FIFO[T]) At(i int) T {
 	if i < 0 || i >= q.size {
 		panic(fmt.Sprintf("queue: At(%d) with size %d", i, q.size))
 	}
-	return q.buf[(q.head+i)%len(q.buf)]
+	return q.buf[q.wrap(q.head+i)]
 }
 
 // Reset discards all elements and statistics.

@@ -168,3 +168,50 @@ func TestFIFOPropertyAgainstSlice(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestFrontIsTheHeadInPlace(t *testing.T) {
+	q := New[int](2)
+	if q.Front() != nil {
+		t.Fatal("Front of an empty queue is not nil")
+	}
+	q.Push(1)
+	q.Push(2)
+	*q.Front() = 10
+	if v, _ := q.Pop(); v != 10 {
+		t.Fatalf("pop after writing through Front = %d, want 10", v)
+	}
+	if v := *q.Front(); v != 2 {
+		t.Fatalf("Front = %d, want 2", v)
+	}
+}
+
+func TestPushGrowKeepsOrderAcrossWrap(t *testing.T) {
+	q := New[int](3)
+	q.Push(0)
+	q.Pop() // head off zero, so the grow copies a wrapped ring
+	for i := 1; i <= 10; i++ {
+		q.PushGrow(i)
+	}
+	if q.Cap() != 12 {
+		t.Fatalf("cap = %d after growing 3 → 6 → 12", q.Cap())
+	}
+	for i := 1; i <= 10; i++ {
+		if v, ok := q.Pop(); !ok || v != i {
+			t.Fatalf("pop = (%d,%v), want (%d,true)", v, ok, i)
+		}
+	}
+	if s := q.Stats(); s.Rejects != 0 || s.MaxOccupancy != 10 {
+		t.Fatalf("stats = %+v", s)
+	}
+	// At its working size the ring allocates nothing.
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 12; i++ {
+			q.PushGrow(i)
+		}
+		for i := 0; i < 12; i++ {
+			q.Pop()
+		}
+	}); allocs != 0 {
+		t.Fatalf("warm PushGrow/Pop allocates %.0f times", allocs)
+	}
+}
