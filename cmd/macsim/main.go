@@ -12,13 +12,15 @@
 //	       [-audit] [-chaos-profile mild|storm|delay=0.01:16:32,...]
 //	       [-chaos-seed 1] [-retry 3] [-retry-backoff 32]
 //	macsim -workload sg -numa 8 [-numa-topology ideal|ring|mesh]
-//	       [-threads 8] [-scale ...] [-seed ...]
-//	       [-chaos-profile ...] [-retry ...]
+//	       [-threads 8] [-scale ...] [-seed ...] [-design ...]
+//	       [-frontend ...] [-cube ...] [-chaos-profile ...] [-retry ...]
 //	macsim -list
 //
 // -numa switches to the multi-node system: one MAC and HMC device per
-// node behind the selected interconnect. The printed report is
-// deterministic, so two invocations can be compared byte-for-byte.
+// node behind the selected interconnect. It exits 2 on a flag it
+// cannot honour (-in, -compare, -audit, -arq and the observability
+// outputs). The printed report is deterministic, so two invocations
+// can be compared byte-for-byte.
 //
 // A run with -audit prints the request-lifecycle conservation report
 // and exits non-zero if any invariant was violated. -chaos-profile
@@ -33,6 +35,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"mac3d"
 )
@@ -74,20 +77,30 @@ func main() {
 		fmt.Fprintln(os.Stderr, "macsim: -workload or -in is required (try -list)")
 		os.Exit(2)
 	}
+	scale, err := mac3d.ParseScale(*scaleFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "macsim:", err)
+		os.Exit(2)
+	}
+	design, err := mac3d.ParseDesign(*designFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "macsim:", err)
+		os.Exit(2)
+	}
 
 	if *numaNodes > 0 {
-		if *traceFile != "" || *compare {
-			fmt.Fprintln(os.Stderr, "macsim: -numa runs a workload on the multi-node system; drop -in/-compare")
-			os.Exit(2)
-		}
-		scale, err := mac3d.ParseScale(*scaleFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "macsim:", err)
-			os.Exit(2)
-		}
-		design, err := mac3d.ParseDesign(*designFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "macsim:", err)
+		// The multi-node facade has no counterpart for these flags;
+		// refuse them rather than run without them.
+		var unsupported []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "in", "compare", "audit", "arq", "metrics-out", "timeseries-out", "trace-out":
+				unsupported = append(unsupported, "-"+f.Name)
+			}
+		})
+		if len(unsupported) > 0 {
+			fmt.Fprintf(os.Stderr, "macsim: -numa runs a workload on the multi-node system; drop %s\n",
+				strings.Join(unsupported, ", "))
 			os.Exit(2)
 		}
 		nopts := mac3d.NUMAOptions{
@@ -118,6 +131,8 @@ func main() {
 		Workload:   *workload,
 		Threads:    *threads,
 		Seed:       *seed,
+		Scale:      scale,
+		Design:     design,
 		Frontend:   *frontendFlag,
 		ARQEntries: *arq,
 		Cube:       *cubeFlag,
@@ -160,15 +175,6 @@ func main() {
 				return r.Observability.WriteTrace(f)
 			})
 		}
-	}
-	var err error
-	if opts.Scale, err = mac3d.ParseScale(*scaleFlag); err != nil {
-		fmt.Fprintln(os.Stderr, "macsim:", err)
-		os.Exit(2)
-	}
-	if opts.Design, err = mac3d.ParseDesign(*designFlag); err != nil {
-		fmt.Fprintln(os.Stderr, "macsim:", err)
-		os.Exit(2)
 	}
 
 	if *traceFile != "" {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -80,6 +81,42 @@ func TestMacsimSmoke(t *testing.T) {
 		ts, err := os.ReadFile(series)
 		if err != nil || !strings.HasPrefix(string(ts), "cycle,") {
 			t.Fatalf("timeseries file: err=%v head=%.40s", err, ts)
+		}
+	})
+
+	t.Run("numa", func(t *testing.T) {
+		out, err := exec.Command(bin, "-workload", "sg", "-numa", "4", "-numa-topology", "mesh",
+			"-cube", "ring,page=open", "-chaos-profile", "link=0.01:50", "-retry", "2").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		if !strings.Contains(string(out), "sg on 4 nodes") {
+			t.Errorf("NUMA report missing its header:\n%s", out)
+		}
+	})
+
+	t.Run("numa refuses single-node flags", func(t *testing.T) {
+		dir := t.TempDir()
+		for _, flag := range [][]string{
+			{"-audit"},
+			{"-arq", "4"},
+			{"-metrics-out", filepath.Join(dir, "m.txt")},
+			{"-timeseries-out", filepath.Join(dir, "ts.csv")},
+			{"-trace-out", filepath.Join(dir, "trace.json")},
+			{"-compare"},
+		} {
+			args := append([]string{"-workload", "sg", "-numa", "2"}, flag...)
+			out, err := exec.Command(bin, args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Errorf("macsim %v: err %v, want exit status 2\n%s", args, err, out)
+			}
+			if !strings.Contains(string(out), flag[0]) {
+				t.Errorf("macsim %v: message does not name %s:\n%s", args, flag[0], out)
+			}
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) > 0 {
+			t.Errorf("refused runs wrote %d output files", len(entries))
 		}
 	})
 

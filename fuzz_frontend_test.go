@@ -43,8 +43,10 @@ func fuzzTrace(data []byte) (*TraceBuilder, error) {
 }
 
 // FuzzFrontendAudit runs fuzzed traces under every design with the
-// lifecycle audit on. A run must end with a clean audit or an error,
-// and never stall.
+// lifecycle audit on, on one node and on 2- and 4-node meshes. A
+// single-node run must end with a clean audit or an error, and never
+// stall; a mesh run of a trace the single node accepted must end
+// clean.
 func FuzzFrontendAudit(f *testing.F) {
 	// An 8B atomic at FLIT offset 12, and a 16B load at row offset
 	// 0xfa behind an aligned load of the same line.
@@ -66,6 +68,17 @@ func FuzzFrontendAudit(f *testing.F) {
 				continue
 			case !rep.Audit.Ok():
 				t.Fatalf("%v audit: %v", d, rep.Audit.Violations)
+			}
+			for _, nodes := range []int{2, 4} {
+				a, err := runMeshAudit(RunOptions{Design: d}, b, nodes)
+				switch {
+				case errors.As(err, &stall):
+					t.Fatalf("%v on %d nodes stalled: %v", d, nodes, err)
+				case err != nil:
+					t.Fatalf("%v on %d nodes: %v", d, nodes, err)
+				case !a.Ok():
+					t.Fatalf("%v on %d nodes audit:\n%s", d, nodes, a.Diff())
+				}
 			}
 		}
 	})

@@ -6,9 +6,12 @@ import (
 	"strings"
 	"testing"
 
+	"mac3d/internal/addr"
 	"mac3d/internal/chaos"
 	"mac3d/internal/hmc"
 	"mac3d/internal/memreq"
+	"mac3d/internal/noc"
+	"mac3d/internal/trace"
 )
 
 // chaosRunConfig returns the default setup with auditing on and the
@@ -218,27 +221,20 @@ func TestRetryPolicyValidation(t *testing.T) {
 // pipeline itself survives (the LSQ ignores the stale retire).
 func TestInjectedDoubleDeliveryCaught(t *testing.T) {
 	cfg := DefaultRunConfig()
-	dev, err := hmc.NewDevice(cfg.HMC)
+	cfg.Audit = true
+	m, err := Build(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coal, err := cfg.NewCoalescer()
-	if err != nil {
+	m.nodes[0].dupDeliver = true
+	if err := m.Load(seqTrace(2, 16)); err != nil {
 		t.Fatal(err)
 	}
-	n, err := NewNode(cfg.Node, coal, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.EnableAudit()
-	n.dupDeliver = true
-	if err := n.Load(seqTrace(2, 16)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := n.Run()
+	rs, err := m.Run()
 	if err != nil {
 		t.Fatalf("run with duplicate deliveries: %v", err)
 	}
+	res := rs[0]
 	a := res.Audit
 	if a.Ok() {
 		t.Fatal("injected double delivery went undetected")
@@ -255,6 +251,44 @@ func TestInjectedDoubleDeliveryCaught(t *testing.T) {
 	}
 	if dup == 0 {
 		t.Fatalf("no duplicate-delivery violations:\n%s", a.Diff())
+	}
+}
+
+// TestRemoteDoubleDeliveryCaught: a node replaying the targets it
+// served for another node's thread is caught by the machine-wide
+// ledger when the genuine response lands at the thread's home node.
+func TestRemoteDoubleDeliveryCaught(t *testing.T) {
+	cfg := DefaultRunConfig()
+	cfg.Audit = true
+	m, err := Build(cfg, &noc.Config{Topology: noc.Ideal, Nodes: 2, LinkLatency: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.nodes[1].dupDeliver = true
+	// One thread, homed on node 0, loading only rows node 1 owns.
+	const reqs = 16
+	tr := trace.NewTrace(1)
+	for i := 0; i < reqs; i++ {
+		tr.Append(trace.Event{Addr: uint64(2*i+1) * addr.RowBytes, Op: trace.Load, Size: 8, Gap: 1})
+	}
+	if err := m.Load(tr); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := m.Run()
+	if err != nil {
+		t.Fatalf("run with duplicate deliveries: %v", err)
+	}
+	if rs[0].RemoteSent != reqs || rs[1].RemoteServed != reqs {
+		t.Fatalf("remote sent/served = %d/%d, want %d", rs[0].RemoteSent, rs[1].RemoteServed, reqs)
+	}
+	a := rs[0].Audit
+	if len(a.Violations) != reqs {
+		t.Fatalf("%d violations for %d replayed targets:\n%s", len(a.Violations), reqs, a.Diff())
+	}
+	for _, v := range a.Violations {
+		if v.Reason != "duplicate-delivery" || v.ID == 0 {
+			t.Fatalf("unexpected violation: %s", v)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"mac3d/internal/audit"
 	"mac3d/internal/chaos"
 	"mac3d/internal/hmc"
 	"mac3d/internal/memreq"
@@ -36,6 +37,8 @@ type Machine struct {
 	// cube link stalls are applied here, the node-side stressors by
 	// the nodes it was handed to through Node.SetChaos.
 	chaos *chaos.Engine
+	// audit is the ledger every node records into; nil when disabled.
+	audit *audit.Ledger
 	// cubeLinksPerDev is each device's intra-cube fabric link count
 	// (0 for the ideal cube); the cubelink stressor's global link id
 	// l targets node l/cubeLinksPerDev, link l%cubeLinksPerDev.
@@ -46,46 +49,44 @@ type Machine struct {
 	maxCycles sim.Cycle
 }
 
-// newMachine steps nodes with no fabric. The first node's Config
-// supplies the watchdog and the cycle limit. Every device's cube links
-// are declared to eng; the ideal cube has none, so the cubelink roll
-// stays gated off and pre-cube RNG schedules replay bit-for-bit.
-func newMachine(nodes []*Node, eng *chaos.Engine) *Machine {
-	cfg := nodes[0].cfg
-	m := &Machine{
-		nodes:           nodes,
-		chaos:           eng,
-		cubeLinksPerDev: nodes[0].dev.CubeLinks(),
-		watchdog:        sim.NewWatchdog(cfg.StallLimit),
-		maxCycles:       cfg.MaxCycles,
-	}
-	eng.SetCubeLinks(m.cubeLinksPerDev * len(nodes))
-	return m
-}
-
-// NewMachine joins nodes over a fabric built from net; node i must
-// route as NodeID i of len(nodes). eng (nil disables) is the run's
-// chaos engine: NewMachine declares the fabric's links to it. Nodes
-// joined here should not be handed the engine through SetChaos — the
-// node-side stressors model one node's adversity and stay inert on a
-// machine.
-func NewMachine(nodes []*Node, net noc.Config, eng *chaos.Engine) (*Machine, error) {
+// newMachine steps nodes, node i routing as NodeID i of len(nodes),
+// joined by a fabric built from net; a nil net leaves a lone node
+// unjoined. The first node's Config supplies the watchdog and the cycle
+// limit, and its ledger is the machine's. eng (nil disables) is the
+// run's chaos engine: the fabric's links and every device's cube links
+// are declared to it. The ideal cube has none, so the cubelink roll
+// stays gated off and pre-cube RNG schedules replay bit-for-bit. Nodes
+// on a fabric should not be handed the engine through SetChaos — the
+// node-side stressors model one node's adversity.
+func newMachine(nodes []*Node, net *noc.Config, eng *chaos.Engine) (*Machine, error) {
 	for i, n := range nodes {
 		if rc := n.cfg.Router; rc.NodeID != i || rc.Nodes != len(nodes) {
 			return nil, fmt.Errorf("cpu: node %d routes as node %d of %d", i, rc.NodeID, rc.Nodes)
 		}
 	}
-	net = net.WithDefaults()
-	fab, err := noc.New[payload](net)
+	cfg := nodes[0].cfg
+	m := &Machine{
+		nodes:           nodes,
+		chaos:           eng,
+		audit:           nodes[0].audit,
+		cubeLinksPerDev: nodes[0].dev.CubeLinks(),
+		watchdog:        sim.NewWatchdog(cfg.StallLimit),
+		maxCycles:       cfg.MaxCycles,
+	}
+	eng.SetCubeLinks(m.cubeLinksPerDev * len(nodes))
+	if net == nil {
+		return m, nil
+	}
+	fcfg := net.WithDefaults()
+	fab, err := noc.New[payload](fcfg)
 	if err != nil {
 		return nil, fmt.Errorf("cpu: %w", err)
 	}
-	m := newMachine(nodes, eng)
 	m.fab = fab
 	m.land = m.landMessage
 	m.reqBudget = 1 << 30
-	if net.Topology == noc.Ideal {
-		m.reqBudget = net.LinkBandwidth
+	if fcfg.Topology == noc.Ideal {
+		m.reqBudget = fcfg.LinkBandwidth
 	}
 	for _, n := range nodes {
 		n.fab = fab
@@ -96,10 +97,14 @@ func NewMachine(nodes []*Node, net noc.Config, eng *chaos.Engine) (*Machine, err
 
 // AttachObs wires every node under a "nodeN." name prefix, so the
 // shared registry and recorder keep per-node series apart, plus the
-// system-wide interconnect probes. Call once before Run; nil is a
-// no-op.
+// system-wide interconnect probes; a lone node keeps its unprefixed
+// names. Call once before Run; nil is a no-op.
 func (m *Machine) AttachObs(o *obs.Obs) {
 	m.obs = o
+	if m.fab == nil {
+		m.nodes[0].AttachObs(o)
+		return
+	}
 	if !o.Enabled() {
 		return
 	}
@@ -121,7 +126,7 @@ func (m *Machine) AttachObs(o *obs.Obs) {
 // homed on node t % N, at index t / N there.
 func (m *Machine) Load(tr *trace.Trace) error {
 	for i, n := range m.nodes {
-		var homed trace.Trace
+		homed := trace.Trace{Threads: make([][]trace.Event, 0, (len(tr.Threads)+len(m.nodes)-1)/len(m.nodes))}
 		for t := i; t < len(tr.Threads); t += len(m.nodes) {
 			homed.Threads = append(homed.Threads, tr.Threads[t])
 		}
@@ -136,7 +141,8 @@ func (m *Machine) Load(tr *trace.Trace) error {
 func (m *Machine) NoC() *noc.Stats { return m.fab.Stats() }
 
 // Run replays the loaded trace to completion and returns each node's
-// results, all carrying the machine's makespan. Each cycle rolls the
+// results, all carrying the machine's makespan and the machine-wide
+// audit and chaos reports. Each cycle rolls the
 // chaos engine, ticks every node in id order — retries, threads,
 // outbound traffic, router drain, coalescer, responses — then advances
 // the fabric and lands its arrivals.
@@ -165,8 +171,10 @@ func (m *Machine) Run() ([]*Result, error) {
 		m.obs.Rec().Sample(uint64(now))
 		if m.drained() {
 			rs := make([]*Result, len(m.nodes))
+			a, cs := m.audit.Finish(now+1), m.chaos.Stats()
 			for i, n := range m.nodes {
 				rs[i] = n.result(now + 1)
+				rs[i].Audit, rs[i].Chaos = a, cs
 			}
 			return rs, nil
 		}
@@ -235,6 +243,7 @@ func (m *Machine) stallError(now sim.Cycle) error {
 		}
 		kvs = append(kvs, stats.KV{Key: fmt.Sprintf("node %d", i), Value: strings.Join(parts, "; ")})
 	}
+	kvs = append(kvs, m.auditReport(e)...)
 	if cs := m.chaos.Stats(); cs != nil {
 		kvs = append(kvs, stats.KV{Key: "chaos", Value: cs.String()})
 	}
@@ -242,9 +251,38 @@ func (m *Machine) stallError(now sim.Cycle) error {
 	return e
 }
 
+// auditReport adds the ledger's state at a stall into e and returns
+// its diagnostic lines; none when auditing is disabled.
+func (m *Machine) auditReport(e *StallError) []stats.KV {
+	if !m.audit.Enabled() {
+		return nil
+	}
+	e.AuditInFlight = m.audit.InFlight()
+	var kvs []stats.KV
+	counts := m.audit.HolderCounts()
+	for _, s := range []audit.State{
+		audit.StateRouted, audit.StateCoalescing,
+		audit.StateInflight, audit.StateAwaitRetry,
+	} {
+		if counts[s] > 0 {
+			kvs = append(kvs, stats.KV{
+				Key:   fmt.Sprintf("audit: requests held by %s", s),
+				Value: counts[s],
+			})
+		}
+	}
+	if o, ok := m.audit.Oldest(); ok {
+		e.AuditOldest = o.String()
+		kvs = append(kvs, stats.KV{Key: "audit: oldest in-flight request", Value: o.String()})
+	}
+	return kvs
+}
+
 // payload is what a message carries across the fabric: either a
 // request bound for the destination's Remote Access Queue or a
-// response retiring a target at its home node.
+// response retiring a target at its home node. The serving node has
+// already credited a response's bytes to the ledger, so the
+// transaction's extent does not travel.
 type payload struct {
 	// isResponse selects the response interpretation.
 	isResponse bool
@@ -334,9 +372,7 @@ func (m *Machine) landMessages(now sim.Cycle) {
 func (m *Machine) landMessage(msg noc.Message[payload]) bool {
 	dst := m.nodes[msg.Dst]
 	if msg.Payload.isResponse {
-		// Machine nodes keep no ledger (DESIGN §9), so the
-		// transaction's extent is not carried across the fabric.
-		dst.retire(msg.Payload.target, 0, 0, msg.Payload.poisoned, m.landAt)
+		dst.retire(msg.Payload.target, msg.Payload.poisoned, m.landAt)
 		return true
 	}
 	return dst.router.OfferRemote(msg.Payload.req)

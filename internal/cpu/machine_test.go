@@ -35,7 +35,7 @@ func TestSaturatedRemoteQueueKeepsPerSourceFIFO(t *testing.T) {
 			lastTag[key] = int(req.Tag)
 		}
 	}
-	m, err := NewMachine(nodes, noc.Config{Topology: noc.Ideal, Nodes: len(nodes), LinkLatency: 57, LinkBandwidth: 1}, nil)
+	m, err := newMachine(nodes, &noc.Config{Topology: noc.Ideal, Nodes: len(nodes), LinkLatency: 57, LinkBandwidth: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,11 +164,12 @@ type Result struct {
 	// the node does not run.
 	RetireUnderflows uint64
 	Misrouted        uint64
-	// Audit is the end-of-run lifecycle-conservation report; nil
-	// unless auditing was enabled via Node.EnableAudit.
+	// Audit is the end-of-run lifecycle-conservation report of the
+	// machine-wide ledger, shared by every node's Result; nil unless
+	// RunConfig.Audit was set.
 	Audit *audit.Report
-	// Chaos is the injected-adversity summary; nil unless a chaos
-	// engine was attached via Node.SetChaos.
+	// Chaos is the machine's injected-adversity summary, shared by
+	// every node's Result; nil unless a chaos profile was active.
 	Chaos *chaos.Stats
 	// Cube is the intra-cube fabric's interconnect statistics; nil
 	// unless the device runs a routed cube topology.
@@ -258,8 +259,8 @@ type Node struct {
 	// topologies backpressure injection); drained before requests.
 	respOut *queue.FIFO[noc.Message[payload]]
 
-	// audit is the request-lifecycle ledger; nil when disabled, and
-	// every call is nil-safe like the obs handle.
+	// audit is the machine-wide request-lifecycle ledger; nil when
+	// disabled, and every call is nil-safe like the obs handle.
 	audit *audit.Ledger
 	// chaos is the deterministic chaos engine; nil when disabled.
 	chaos *chaos.Engine
@@ -338,12 +339,12 @@ func MustNewNode(cfg Config, coal memreq.Coalescer, dev *hmc.Device) *Node {
 	return n
 }
 
-// EnableAudit attaches a fresh request-lifecycle ledger. Call before
-// Run; the end-of-run conservation report lands in Result.Audit.
-func (n *Node) EnableAudit() {
-	n.audit = audit.NewLedger()
-	n.router.OnDrain = func(req memreq.RawRequest, now sim.Cycle) {
-		n.audit.Drain(req, now)
+// setAudit makes the node record into l, the machine's ledger; nil
+// disables auditing.
+func (n *Node) setAudit(l *audit.Ledger) {
+	n.audit = l
+	if l != nil {
+		n.router.OnDrain = l.Drain
 	}
 }
 
@@ -419,7 +420,10 @@ func (n *Node) Load(tr *trace.Trace) error {
 // forward progress for Config.StallLimit cycles aborts with a
 // *StallError carrying a diagnostic dump.
 func (n *Node) Run() (*Result, error) {
-	m := newMachine([]*Node{n}, n.chaos)
+	m, err := newMachine([]*Node{n}, nil, n.chaos)
+	if err != nil {
+		return nil, err
+	}
 	m.obs = n.obs
 	rs, err := m.Run()
 	if err != nil {
@@ -669,13 +673,18 @@ func (n *Node) deliverResponses(now sim.Cycle) {
 		n.obs.Trace().Transaction(resp.Tag, b.Span)
 		poisoned := status == core.RespPoisoned
 		for _, tgt := range b.Targets {
+			if !poisoned {
+				// Credited where served: the response's bytes are in
+				// hand here, whichever node retires the target.
+				n.audit.Credit(tgt, b.Req.Addr, b.Req.Data, now)
+			}
 			if n.fab != nil {
 				if home := int(tgt.Thread) % n.cfg.Router.Nodes; home != n.cfg.Router.NodeID {
 					n.returnRemote(home, tgt, b.Req.Kind, poisoned, now)
 					continue
 				}
 			}
-			n.retire(tgt, b.Req.Addr, b.Req.Data, poisoned, now)
+			n.retire(tgt, poisoned, now)
 		}
 		if n.dupDeliver && !poisoned {
 			// Test-only injected bug: replay the audit-visible
@@ -697,10 +706,10 @@ func (n *Node) deliverResponses(now sim.Cycle) {
 	}
 }
 
-// retire lands one target of a transaction (txAddr, txBytes) at its
-// thread's home node, n: directly when n served it, or when the
-// response arrives over the fabric.
-func (n *Node) retire(tgt memreq.Target, txAddr uint64, txBytes uint32, poisoned bool, now sim.Cycle) {
+// retire lands one target at its thread's home node, n: directly when
+// n served it, or when the response arrives over the fabric. The
+// serving node has already credited the target's bytes.
+func (n *Node) retire(tgt memreq.Target, poisoned bool, now sim.Cycle) {
 	if tgt.Cont {
 		// Continuation half of a window-split request: its data is
 		// delivered, but the head half owns the request's one LSQ slot
@@ -710,8 +719,6 @@ func (n *Node) retire(tgt memreq.Target, txAddr uint64, txBytes uint32, poisoned
 		// delivery; the ledger waives its bytes.
 		if poisoned {
 			n.audit.Forgive(tgt, now)
-		} else {
-			n.audit.Credit(tgt, txAddr, txBytes, now)
 		}
 		return
 	}
@@ -737,7 +744,6 @@ func (n *Node) retire(tgt memreq.Target, txAddr uint64, txBytes uint32, poisoned
 		n.failedRequests++
 		n.audit.Fail(tgt, now)
 	} else {
-		n.audit.Credit(tgt, txAddr, txBytes, now)
 		n.audit.Retire(tgt, now)
 	}
 	if n.retry.Enabled() {
@@ -796,10 +802,6 @@ func (n *Node) result(cycles sim.Cycle) *Result {
 		RemoteSent:       n.remoteSent,
 		RemoteServed:     n.remoteServed,
 	}
-	if n.audit.Enabled() {
-		r.Audit = n.audit.Finish(cycles)
-	}
-	r.Chaos = n.chaos.Stats()
 	if st := n.dev.CubeStats(); st != nil {
 		snap := *st
 		r.Cube = &snap
@@ -913,27 +915,6 @@ func (n *Node) stallReport(e *StallError, now sim.Cycle) []stats.KV {
 			stats.KV{Key: "device poisoned responses", Value: ds.PoisonedResponses},
 			stats.KV{Key: "device token stalls", Value: ds.TokenStalls},
 		)
-	}
-	if n.audit.Enabled() {
-		e.AuditInFlight += n.audit.InFlight()
-		counts := n.audit.HolderCounts()
-		for _, s := range []audit.State{
-			audit.StateRouted, audit.StateCoalescing,
-			audit.StateInflight, audit.StateAwaitRetry,
-		} {
-			if counts[s] > 0 {
-				kvs = append(kvs, stats.KV{
-					Key:   fmt.Sprintf("audit: requests held by %s", s),
-					Value: counts[s],
-				})
-			}
-		}
-		if o, ok := n.audit.Oldest(); ok {
-			if e.AuditOldest == "" {
-				e.AuditOldest = o.String()
-			}
-			kvs = append(kvs, stats.KV{Key: "audit: oldest in-flight request", Value: o.String()})
-		}
 	}
 	return kvs
 }

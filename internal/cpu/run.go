@@ -3,11 +3,13 @@ package cpu
 import (
 	"fmt"
 
+	"mac3d/internal/audit"
 	"mac3d/internal/chaos"
 	"mac3d/internal/coalesce"
 	"mac3d/internal/core"
 	"mac3d/internal/hmc"
 	"mac3d/internal/memreq"
+	"mac3d/internal/noc"
 	"mac3d/internal/obs"
 	"mac3d/internal/trace"
 )
@@ -127,37 +129,90 @@ func (cfg RunConfig) NewCoalescer() (memreq.Coalescer, error) {
 	}
 }
 
-// Run replays tr through a freshly built node.
-func Run(cfg RunConfig, tr *trace.Trace) (*Result, error) {
-	dev, err := hmc.NewDevice(cfg.HMC)
+// Validate reports the first configuration error in any part of cfg,
+// or nil.
+func (cfg RunConfig) Validate() error {
+	for _, err := range []error{
+		cfg.Node.Validate(), cfg.MAC.Validate(), cfg.Warp.Validate(), cfg.MemCache.Validate(),
+		cfg.HMC.Validate(), cfg.Chaos.Validate(), cfg.Retry.Validate(),
+	} {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Build assembles the paper's §3 system from cfg: identical nodes, each
+// with its own device and coalescer, joined by a fabric built from net
+// with node i routing as NodeID i of net.Nodes. A nil net builds the
+// lone node with no fabric, the paper's evaluated configuration. Every
+// node takes cfg's retry policy and, when cfg.Audit is set, records
+// into one machine-wide ledger. The chaos engine's node-side stressors
+// act on a lone node only; a fabric's nodes see only the link
+// stressors. cfg.Obs, when set, is attached as Machine.AttachObs does.
+func Build(cfg RunConfig, net *noc.Config) (*Machine, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	nodes, vaults := 1, cfg.HMC.Vaults
+	if net != nil {
+		if err := net.WithDefaults().Validate(); err != nil {
+			return nil, fmt.Errorf("cpu: %w", err)
+		}
+		nodes, vaults = net.Nodes, 0
+	}
+	eng, err := chaos.NewEngine(cfg.Chaos, vaults)
 	if err != nil {
 		return nil, err
 	}
-	coal, err := cfg.NewCoalescer()
-	if err != nil {
-		return nil, err
-	}
-	n, err := NewNode(cfg.Node, coal, dev)
-	if err != nil {
-		return nil, err
-	}
-	n.AttachObs(cfg.Obs)
+	var ledger *audit.Ledger
 	if cfg.Audit {
-		n.EnableAudit()
+		ledger = audit.NewLedger()
 	}
-	if err := cfg.Retry.Validate(); err != nil {
-		return nil, err
+	ns := make([]*Node, nodes)
+	for i := range ns {
+		dev, err := hmc.NewDevice(cfg.HMC)
+		if err != nil {
+			return nil, err
+		}
+		coal, err := cfg.NewCoalescer()
+		if err != nil {
+			return nil, err
+		}
+		nc := cfg.Node
+		nc.Router.NodeID, nc.Router.Nodes = i, nodes
+		if ns[i], err = NewNode(nc, coal, dev); err != nil {
+			return nil, err
+		}
+		ns[i].SetRetry(cfg.Retry)
+		ns[i].setAudit(ledger)
 	}
-	n.SetRetry(cfg.Retry)
-	eng, err := chaos.NewEngine(cfg.Chaos, cfg.HMC.Vaults)
+	if net == nil {
+		ns[0].SetChaos(eng)
+	}
+	m, err := newMachine(ns, net, eng)
 	if err != nil {
 		return nil, err
 	}
-	n.SetChaos(eng)
-	if err := n.Load(tr); err != nil {
+	m.AttachObs(cfg.Obs)
+	return m, nil
+}
+
+// Run replays tr through a freshly built lone node.
+func Run(cfg RunConfig, tr *trace.Trace) (*Result, error) {
+	m, err := Build(cfg, nil)
+	if err != nil {
 		return nil, err
 	}
-	return n.Run()
+	if err := m.Load(tr); err != nil {
+		return nil, err
+	}
+	rs, err := m.Run()
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
 }
 
 // Comparison holds a with/without-MAC pair over the same trace — the

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"mac3d/internal/addr"
+	"mac3d/internal/audit"
 	"mac3d/internal/chaos"
 	"mac3d/internal/coalesce"
 	"mac3d/internal/core"
@@ -110,59 +111,41 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports the first configuration error, or nil.
+// Validate reports the first configuration error, or nil: the
+// interconnect's own checks, then the per-node settings' as
+// cpu.RunConfig.Validate makes them.
 func (c Config) Validate() error {
 	switch {
 	case c.Nodes <= 0:
 		return fmt.Errorf("numa: Nodes must be positive, got %d", c.Nodes)
-	case c.CoresPerNode <= 0:
-		return fmt.Errorf("numa: CoresPerNode must be positive, got %d", c.CoresPerNode)
 	case c.NoC.Topology == "" && c.LinkBandwidth <= 0:
 		return fmt.Errorf("numa: LinkBandwidth must be positive, got %d", c.LinkBandwidth)
-	case c.MaxOutstanding <= 0:
-		return fmt.Errorf("numa: MaxOutstanding must be positive, got %d", c.MaxOutstanding)
-	case c.MaxCycles == 0:
-		return fmt.Errorf("numa: MaxCycles must be positive")
-	}
-	if c.NoC.Nodes != 0 && c.NoC.Nodes != c.Nodes {
+	case c.NoC.Nodes != 0 && c.NoC.Nodes != c.Nodes:
 		return fmt.Errorf("numa: NoC.Nodes=%d disagrees with Nodes=%d (leave it 0 to inherit)",
 			c.NoC.Nodes, c.Nodes)
 	}
 	if err := c.nocConfig().Validate(); err != nil {
 		return err
 	}
-	if err := c.Chaos.Validate(); err != nil {
-		return err
-	}
-	if err := c.MAC.Validate(); err != nil {
-		return err
-	}
-	cc := c.coalescerConfig()
-	if err := cc.Warp.Validate(); err != nil {
-		return err
-	}
-	if err := cc.MemCache.Validate(); err != nil {
-		return err
-	}
-	if err := c.Retry.Validate(); err != nil {
-		return err
-	}
-	return c.HMC.Validate()
+	return c.runConfig().Validate()
 }
 
-// coalescerConfig lowers the per-node frontend selection onto a
-// cpu.RunConfig, so both drivers construct coalescers through the one
-// Kind switch. Zero-value frontend configs take the package defaults.
-func (c Config) coalescerConfig() cpu.RunConfig {
+// runConfig lowers the per-node settings onto the cpu.RunConfig every
+// node is built from, so both drivers assemble nodes through cpu.Build.
+// Zero-value frontend configs take the package defaults.
+func (c Config) runConfig() cpu.RunConfig {
 	rc := cpu.DefaultRunConfig()
-	rc.Kind = c.Kind
-	rc.MAC = c.MAC
+	rc.Kind, rc.MAC, rc.HMC, rc.Chaos, rc.Retry = c.Kind, c.MAC, c.HMC, c.Chaos, c.Retry
 	if c.Warp != (coalesce.WarpConfig{}) {
 		rc.Warp = c.Warp
 	}
 	if c.MemCache != (coalesce.MemCacheConfig{}) {
 		rc.MemCache = c.MemCache
 	}
+	nc := &rc.Node
+	nc.Cores, nc.SPMLatency, nc.MaxOutstanding = c.CoresPerNode, c.SPMLatency, c.MaxOutstanding
+	nc.StallLimit, nc.MaxCycles = c.StallLimit, c.MaxCycles
+	nc.Router.InterleaveBytes = c.InterleaveBytes
 	return rc
 }
 
@@ -182,16 +165,6 @@ func (c Config) nocConfig() noc.Config {
 	}
 	n.Nodes = c.Nodes
 	return n.WithDefaults()
-}
-
-// nodeConfig lowers the per-node settings onto node id's cpu.Config,
-// whose router places it in the global interleave.
-func (c Config) nodeConfig(id int) cpu.Config {
-	nc := cpu.DefaultConfig()
-	nc.Cores, nc.SPMLatency, nc.MaxOutstanding = c.CoresPerNode, c.SPMLatency, c.MaxOutstanding
-	nc.StallLimit, nc.MaxCycles = c.StallLimit, c.MaxCycles
-	nc.Router.NodeID, nc.Router.Nodes, nc.Router.InterleaveBytes = id, c.Nodes, c.InterleaveBytes
-	return nc
 }
 
 // Result aggregates system-wide measurements.
@@ -218,6 +191,9 @@ type Result struct {
 	// Chaos carries the injected-adversity counters; nil when the
 	// chaos profile is disabled.
 	Chaos *chaos.Stats
+	// Audit is the machine-wide ledger's end-of-run report; nil unless
+	// the nodes were built with cpu.RunConfig.Audit.
+	Audit *audit.Report
 	// PerNode carries each node's coalescer and device snapshots.
 	PerNode []NodeStats
 }
@@ -247,41 +223,21 @@ func (r *Result) RemoteFraction() float64 {
 // from a Config.
 type System struct {
 	m *cpu.Machine
-	// chaos injects transient link stalls; nil when disabled.
-	chaos *chaos.Engine
 }
 
-// NewSystem builds the system; each node gets its own coalescer and
-// device. It returns an error for an invalid configuration instead of
-// panicking.
+// NewSystem builds the system through cpu.Build; each node gets its own
+// coalescer and device. It returns an error for an invalid
+// configuration instead of panicking.
 func NewSystem(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("numa: invalid config: %w", err)
 	}
-	eng, err := chaos.NewEngine(cfg.Chaos, 0)
+	net := cfg.nocConfig()
+	m, err := cpu.Build(cfg.runConfig(), &net)
 	if err != nil {
 		return nil, fmt.Errorf("numa: %w", err)
 	}
-	nodes := make([]*cpu.Node, cfg.Nodes)
-	for i := range nodes {
-		dev, err := hmc.NewDevice(cfg.HMC)
-		if err != nil {
-			return nil, err
-		}
-		coal, err := cfg.coalescerConfig().NewCoalescer()
-		if err != nil {
-			return nil, fmt.Errorf("numa: node %d: %w", i, err)
-		}
-		if nodes[i], err = cpu.NewNode(cfg.nodeConfig(i), coal, dev); err != nil {
-			return nil, fmt.Errorf("numa: node %d: %w", i, err)
-		}
-		nodes[i].SetRetry(cfg.Retry)
-	}
-	m, err := cpu.NewMachine(nodes, cfg.nocConfig(), eng)
-	if err != nil {
-		return nil, fmt.Errorf("numa: %w", err)
-	}
-	return &System{m: m, chaos: eng}, nil
+	return &System{m: m}, nil
 }
 
 // AttachObs wires every node (its probes, coalescer and device) into a
@@ -302,7 +258,7 @@ func (s *System) Run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Result{Cycles: rs[0].Cycles, NoC: s.m.NoC(), Chaos: s.chaos.Stats()}
+	r := &Result{Cycles: rs[0].Cycles, NoC: s.m.NoC(), Chaos: rs[0].Chaos, Audit: rs[0].Audit}
 	for _, nr := range rs {
 		r.Instructions += nr.Instructions
 		r.MemRequests += nr.MemRequests

@@ -8,9 +8,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mac3d/internal/chaos"
 	"mac3d/internal/cpu"
 	"mac3d/internal/hmc"
 	"mac3d/internal/memreq"
+	"mac3d/internal/noc"
 	"mac3d/internal/obs"
 	"mac3d/internal/sim"
 	"mac3d/internal/trace"
@@ -433,5 +435,100 @@ func TestRetryBudgetExhaustsAcrossNodes(t *testing.T) {
 	}
 	if res.RetriedRequests != 2*res.MemRequests {
 		t.Fatalf("RetriedRequests = %d, want %d", res.RetriedRequests, 2*res.MemRequests)
+	}
+}
+
+// runAudited builds cfg's system through cpu.Build with the
+// machine-wide ledger on, the one setting numa.Config does not carry,
+// and runs tr.
+func runAudited(t *testing.T, cfg Config, tr *trace.Trace) *Result {
+	t.Helper()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	rc := cfg.runConfig()
+	rc.Audit = true
+	net := cfg.nocConfig()
+	m, err := cpu.Build(rc, &net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &System{m: m}
+	if err := s.Load(tr); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Audit == nil {
+		t.Fatal("audit enabled but no report")
+	}
+	return res
+}
+
+// TestAuditLeavesMeshRunUnchanged: the machine-wide ledger observes a
+// 4-node mesh run without perturbing it, and finds every request
+// delivered exactly once with its bytes conserved.
+func TestAuditLeavesMeshRunUnchanged(t *testing.T) {
+	tr, err := workloads.Generate("sg", workloads.Config{Threads: 8, Seed: 1, Scale: workloads.Tiny})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Nodes, cfg.CoresPerNode = 4, 2
+	cfg.NoC = noc.Config{Topology: noc.Mesh, LinkLatency: 8}
+	off, err := Run(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	on := runAudited(t, cfg, tr)
+	a := on.Audit
+	if !a.Ok() || a.Issued != on.MemRequests || a.Delivered != a.Issued || a.Open != 0 {
+		t.Fatalf("ledger: %s (MemRequests=%d)\n%s", a, on.MemRequests, a.Diff())
+	}
+	if on.RemoteRequests == 0 {
+		t.Fatal("no request crossed the mesh")
+	}
+	on.Audit = nil
+	if !reflect.DeepEqual(off, on) {
+		t.Fatalf("auditing changed the run:\n off %s\n  on %s", summary(off), summary(on))
+	}
+}
+
+// TestAuditCleanAcrossNodes: poisoned completions retried or failed at
+// the home node, and link stalls on a routed fabric, keep the
+// machine-wide ledger conserved; its outcome counts match the run's.
+func TestAuditCleanAcrossNodes(t *testing.T) {
+	retry := DefaultConfig()
+	retry.HMC.Faults.CRCErrorRate, retry.HMC.Faults.RetryLimit, retry.HMC.Faults.Seed = 0.3, 1, 5
+	retry.Retry = memreq.RetryPolicy{MaxRetries: 8, Backoff: 16}
+	exhaust := DefaultConfig()
+	exhaust.HMC.Faults.CRCErrorRate, exhaust.HMC.Faults.RetryLimit = 1, 1
+	exhaust.Retry = memreq.RetryPolicy{MaxRetries: 2, Backoff: 4}
+	stalls := DefaultConfig()
+	stalls.Nodes, stalls.CoresPerNode = 8, 1
+	stalls.NoC = noc.Config{Topology: noc.Ring, LinkLatency: 5, LinkBandwidth: 1}
+	stalls.Chaos = chaos.Profile{LinkRate: 0.05, LinkStall: 200, Seed: 42}
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		poisoned bool
+	}{{"retry", retry, true}, {"exhaust", exhaust, true}, {"link-stalls", stalls, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := runAudited(t, tc.cfg, seqTrace(8, 32))
+			a := res.Audit
+			if !a.Ok() || a.Open != 0 {
+				t.Fatalf("ledger: %s\n%s", a, a.Diff())
+			}
+			if tc.poisoned && a.Reissued+a.Failed == 0 {
+				t.Fatalf("no poisoned completion reached the ledger: %s", a)
+			}
+			if a.Issued != res.MemRequests || a.Failed != res.FailedRequests ||
+				a.Reissued != res.RetriedRequests || a.Delivered+a.Failed != a.Issued {
+				t.Fatalf("ledger %s disagrees with the run: %d requests, %d failed, %d retried",
+					a, res.MemRequests, res.FailedRequests, res.RetriedRequests)
+			}
+		})
 	}
 }

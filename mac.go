@@ -408,27 +408,47 @@ func checkRate(kind, name string, v float64) error {
 	return nil
 }
 
+// optionNames spells field names in a facade's errors. RunOptions and
+// NUMAOptions share their checks and their lowering; they differ only
+// in their type name and in what they call the per-node core count.
+type optionNames struct{ kind, cores string }
+
+var (
+	runNames  = optionNames{"RunOptions", "Cores"}
+	numaNames = optionNames{"NUMAOptions", "CoresPerNode"}
+)
+
 // Validate reports the first configuration error, or nil. It accepts
 // exactly the options Run/Compare accept: the workload must exist, no
 // numeric knob may be negative (WatchdogCycles excepted — negative
 // disables the watchdog), fault rates must be probabilities, and the
-// lowered internal configurations must pass their own validators. The
+// lowered internal configuration must pass cpu.RunConfig.Validate. The
 // macd job-spec parser relies on Validate rejecting — never panicking
 // on — arbitrary option values.
 func (o RunOptions) Validate() error {
+	if err := o.check(runNames); err != nil {
+		return err
+	}
+	_, err := o.runConfig(runNames)
+	return err
+}
+
+// check makes the field-level checks of Validate, naming fields as
+// names spells them.
+func (o RunOptions) check(names optionNames) error {
 	if o.Workload == "" {
-		return fmt.Errorf("mac3d: RunOptions.Workload is required")
+		return fmt.Errorf("mac3d: %s.Workload is required", names.kind)
 	}
 	if _, err := workloads.New(o.Workload); err != nil {
 		return fmt.Errorf("mac3d: %w", err)
 	}
-	if err := checkNonNegative("RunOptions", map[string]int64{
+	if err := checkNonNegative(names.kind, map[string]int64{
 		"Threads":                 int64(o.Threads),
 		"ARQEntries":              int64(o.ARQEntries),
 		"WindowBytes":             int64(o.WindowBytes),
 		"MaxTargetsPerEntry":      int64(o.MaxTargetsPerEntry),
 		"BuilderMinBytes":         int64(o.BuilderMinBytes),
-		"Cores":                   int64(o.Cores),
+		names.cores:               int64(o.Cores),
 		"MaxOutstanding":          int64(o.MaxOutstanding),
 		"HMCMaxInflight":          int64(o.HMCMaxInflight),
 		"HMCLinks":                int64(o.HMCLinks),
@@ -448,7 +468,7 @@ func (o RunOptions) Validate() error {
 	// absurd allocations (and so int -> uint32 lowering cannot wrap).
 	bounded := map[string]int{
 		"Threads":            o.Threads,
-		"Cores":              o.Cores,
+		names.cores:          o.Cores,
 		"ARQEntries":         o.ARQEntries,
 		"WindowBytes":        o.WindowBytes,
 		"MaxTargetsPerEntry": o.MaxTargetsPerEntry,
@@ -457,33 +477,29 @@ func (o RunOptions) Validate() error {
 		"HMCLinks":           o.HMCLinks,
 		"TargetBufferDepth":  o.TargetBufferDepth,
 	}
-	names := make([]string, 0, len(bounded))
+	fields := make([]string, 0, len(bounded))
 	for name := range bounded {
-		names = append(names, name)
+		fields = append(fields, name)
 	}
-	sort.Strings(names)
-	for _, name := range names {
+	sort.Strings(fields)
+	for _, name := range fields {
 		if v := bounded[name]; v > maxServiceUnits {
-			return fmt.Errorf("mac3d: RunOptions.%s %d exceeds the %d bound", name, v, maxServiceUnits)
+			return fmt.Errorf("mac3d: %s.%s %d exceeds the %d bound", names.kind, name, v, maxServiceUnits)
 		}
 	}
-	if err := checkRate("RunOptions", "Faults.CRCErrorRate", o.Faults.CRCErrorRate); err != nil {
+	if err := checkRate(names.kind, "Faults.CRCErrorRate", o.Faults.CRCErrorRate); err != nil {
 		return err
 	}
-	if err := checkRate("RunOptions", "Faults.LinkFailRate", o.Faults.LinkFailRate); err != nil {
+	if err := checkRate(names.kind, "Faults.LinkFailRate", o.Faults.LinkFailRate); err != nil {
 		return err
 	}
-	if _, err := o.workloadConfig(); err != nil {
-		return err
-	}
-	if _, err := o.runConfig(); err != nil {
-		return err
-	}
-	return nil
+	_, err := o.Scale.internal()
+	return err
 }
 
-// runConfig lowers the options onto the internal configurations.
-func (o RunOptions) runConfig() (cpu.RunConfig, error) {
+// runConfig lowers the options onto the internal configuration and
+// checks it with cpu.RunConfig.Validate.
+func (o RunOptions) runConfig(names optionNames) (cpu.RunConfig, error) {
 	cfg := cpu.DefaultRunConfig()
 	kind, err := o.Design.kind()
 	if err != nil {
@@ -496,12 +512,6 @@ func (o RunOptions) runConfig() (cpu.RunConfig, error) {
 	}
 	cfg.Warp = tuning.ApplyWarp(cfg.Warp)
 	cfg.MemCache = tuning.ApplyMemCache(cfg.MemCache)
-	if err := cfg.Warp.Validate(); err != nil {
-		return cfg, err
-	}
-	if err := cfg.MemCache.Validate(); err != nil {
-		return cfg, err
-	}
 	if o.ARQEntries != 0 {
 		cfg.MAC.ARQ.Entries = o.ARQEntries
 	}
@@ -571,36 +581,24 @@ func (o RunOptions) runConfig() (cpu.RunConfig, error) {
 	}
 	cfg.Chaos = profile
 	if o.Retry.BackoffCycles < 0 {
-		return cfg, fmt.Errorf("mac3d: Retry.BackoffCycles %d is negative", o.Retry.BackoffCycles)
+		return cfg, fmt.Errorf("mac3d: %s.Retry.BackoffCycles %d is negative", names.kind, o.Retry.BackoffCycles)
 	}
 	cfg.Retry = memreq.RetryPolicy{
 		MaxRetries: o.Retry.MaxRetries,
 		Backoff:    sim.Cycle(o.Retry.BackoffCycles),
 	}
-	if err := cfg.Retry.Validate(); err != nil {
-		return cfg, err
-	}
-	// Surface configuration mistakes as errors at the façade; the
-	// internal constructors treat invalid config as programmer error
-	// and panic.
-	if err := cfg.MAC.Validate(); err != nil {
-		return cfg, err
-	}
-	if err := cfg.Node.Validate(); err != nil {
-		return cfg, err
-	}
-	if err := cfg.HMC.Validate(); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
+	// Surface configuration mistakes as errors at the façade, before
+	// a run starts.
+	return cfg, cfg.Validate()
 }
 
-func (o RunOptions) workloadConfig() (workloads.Config, error) {
+// generate builds the options' workload trace.
+func (o RunOptions) generate() (*trace.Trace, error) {
 	s, err := o.Scale.internal()
 	if err != nil {
-		return workloads.Config{}, err
+		return nil, err
 	}
-	return workloads.Config{Threads: o.Threads, Seed: o.Seed, Scale: s}, nil
+	return workloads.Generate(o.Workload, workloads.Config{Threads: o.Threads, Seed: o.Seed, Scale: s})
 }
 
 // WorkloadInfo describes one registered benchmark kernel.
@@ -631,11 +629,7 @@ func PaperWorkloads() []string { return workloads.PaperSet() }
 // measurements.
 func Run(opts RunOptions) (*RunReport, error) {
 	opts = opts.withDefaults()
-	wcfg, err := opts.workloadConfig()
-	if err != nil {
-		return nil, err
-	}
-	tr, err := workloads.Generate(opts.Workload, wcfg)
+	tr, err := opts.generate()
 	if err != nil {
 		return nil, err
 	}
@@ -643,7 +637,7 @@ func Run(opts RunOptions) (*RunReport, error) {
 }
 
 func runTrace(opts RunOptions, tr *trace.Trace) (*RunReport, error) {
-	rcfg, err := opts.runConfig()
+	rcfg, err := opts.runConfig(runNames)
 	if err != nil {
 		return nil, err
 	}
@@ -661,11 +655,7 @@ func runTrace(opts RunOptions, tr *trace.Trace) (*RunReport, error) {
 // and reports the paper's comparison metrics.
 func Compare(opts RunOptions) (*CompareReport, error) {
 	opts = opts.withDefaults()
-	wcfg, err := opts.workloadConfig()
-	if err != nil {
-		return nil, err
-	}
-	tr, err := workloads.Generate(opts.Workload, wcfg)
+	tr, err := opts.generate()
 	if err != nil {
 		return nil, err
 	}
@@ -673,7 +663,7 @@ func Compare(opts RunOptions) (*CompareReport, error) {
 }
 
 func compareTrace(opts RunOptions, tr *trace.Trace) (*CompareReport, error) {
-	rcfg, err := opts.runConfig()
+	rcfg, err := opts.runConfig(runNames)
 	if err != nil {
 		return nil, err
 	}

@@ -4,14 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"mac3d/internal/chaos"
-	"mac3d/internal/coalesce"
-	"mac3d/internal/hmc"
-	"mac3d/internal/memreq"
 	"mac3d/internal/noc"
 	"mac3d/internal/numa"
 	"mac3d/internal/sim"
-	"mac3d/internal/workloads"
 )
 
 // NUMAOptions configures a multi-node run (the paper's full §3
@@ -104,12 +99,8 @@ type NoCOptions struct {
 // explicit — the canonical form used by the macd job cache. Normalize
 // is idempotent.
 func (o NUMAOptions) Normalize() NUMAOptions {
-	if o.Threads == 0 {
-		o.Threads = 8
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
+	shared := o.runOptions().withDefaults()
+	o.Threads, o.Seed = shared.Threads, shared.Seed
 	if o.Nodes == 0 {
 		o.Nodes = 2
 	}
@@ -146,32 +137,36 @@ func (o NUMAOptions) Normalize() NUMAOptions {
 	return o
 }
 
+// runOptions maps the fields NUMAOptions shares with RunOptions onto
+// one, so both facades check and lower them through the same code.
+func (o NUMAOptions) runOptions() RunOptions {
+	return RunOptions{
+		Workload: o.Workload,
+		Threads:  o.Threads,
+		Seed:     o.Seed,
+		Scale:    o.Scale,
+		Design:   o.Design,
+		Frontend: o.Frontend,
+		Cores:    o.CoresPerNode,
+		Cube:     o.Cube,
+		Chaos:    o.Chaos,
+		Retry:    o.Retry,
+	}
+}
+
 // Validate reports the first configuration error, or nil. RunNUMA
 // accepts exactly the options Validate accepts; like
-// RunOptions.Validate it never panics, whatever the field values.
+// RunOptions.Validate it never panics, whatever the field values. The
+// fields shared with RunOptions pass RunOptions' own checks.
 func (o NUMAOptions) Validate() error {
-	if o.Workload == "" {
-		return fmt.Errorf("mac3d: NUMAOptions.Workload is required")
-	}
-	if _, err := workloads.New(o.Workload); err != nil {
-		return fmt.Errorf("mac3d: %w", err)
-	}
-	if err := checkNonNegative("NUMAOptions", map[string]int64{
-		"Threads":          int64(o.Threads),
-		"Nodes":            int64(o.Nodes),
-		"CoresPerNode":     int64(o.CoresPerNode),
-		"Retry.MaxRetries": int64(o.Retry.MaxRetries),
-	}); err != nil {
+	if err := o.runOptions().check(numaNames); err != nil {
 		return err
 	}
-	if o.Threads > maxServiceUnits {
-		return fmt.Errorf("mac3d: NUMAOptions.Threads %d exceeds the %d bound", o.Threads, maxServiceUnits)
+	if o.Nodes < 0 {
+		return fmt.Errorf("mac3d: NUMAOptions.Nodes %d is negative", o.Nodes)
 	}
 	if o.Nodes > 256 {
 		return fmt.Errorf("mac3d: NUMAOptions.Nodes %d exceeds the 256 bound", o.Nodes)
-	}
-	if o.CoresPerNode > maxServiceUnits {
-		return fmt.Errorf("mac3d: NUMAOptions.CoresPerNode %d exceeds the %d bound", o.CoresPerNode, maxServiceUnits)
 	}
 	if math.IsNaN(o.LinkLatencyNs) || math.IsInf(o.LinkLatencyNs, 0) || o.LinkLatencyNs < 0 {
 		return fmt.Errorf("mac3d: NUMAOptions.LinkLatencyNs %v is not a non-negative latency", o.LinkLatencyNs)
@@ -179,10 +174,6 @@ func (o NUMAOptions) Validate() error {
 	if o.LinkLatencyNs > 1e9 {
 		return fmt.Errorf("mac3d: NUMAOptions.LinkLatencyNs %v exceeds the 1e9 bound", o.LinkLatencyNs)
 	}
-	if _, err := o.Scale.internal(); err != nil {
-		return err
-	}
-	n := o.Normalize()
 	if o.NoC != nil {
 		if err := checkNonNegative("NUMAOptions.NoC", map[string]int64{
 			"Nodes":         int64(o.NoC.Nodes),
@@ -192,10 +183,6 @@ func (o NUMAOptions) Validate() error {
 			"MeshCols":      int64(o.NoC.MeshCols),
 		}); err != nil {
 			return err
-		}
-		if o.NoC.Nodes != 0 && o.NoC.Nodes != n.Nodes {
-			return fmt.Errorf("mac3d: NUMAOptions.NoC.Nodes %d disagrees with Nodes %d (leave it 0 to inherit)",
-				o.NoC.Nodes, n.Nodes)
 		}
 		if math.IsNaN(o.NoC.LinkLatencyNs) || math.IsInf(o.NoC.LinkLatencyNs, 0) || o.NoC.LinkLatencyNs < 0 {
 			return fmt.Errorf("mac3d: NUMAOptions.NoC.LinkLatencyNs %v is not a non-negative latency", o.NoC.LinkLatencyNs)
@@ -208,34 +195,29 @@ func (o NUMAOptions) Validate() error {
 	// carries ceil(Threads/Nodes) of them; reject here what the system
 	// would reject at trace-load time, so a bad job spec fails at
 	// submission rather than mid-run.
+	n := o.Normalize()
 	if perNode := (n.Threads + n.Nodes - 1) / n.Nodes; perNode > n.CoresPerNode {
 		return fmt.Errorf("mac3d: NUMAOptions places %d threads per node with %d cores (threads %d over %d nodes)",
 			perNode, n.CoresPerNode, n.Threads, n.Nodes)
 	}
-	if _, err := n.numaConfig(); err != nil {
-		return err
-	}
-	return nil
+	_, err := n.numaConfig()
+	return err
 }
 
 // numaConfig lowers normalized options onto the internal multi-node
-// configuration.
+// configuration: the shared fields through RunOptions' lowering, the
+// interconnect here. numa.Config.Validate checks the result, including
+// a NoC.Nodes that disagrees with Nodes.
 func (o NUMAOptions) numaConfig() (numa.Config, error) {
+	rc, err := o.runOptions().runConfig(numaNames)
+	if err != nil {
+		return numa.Config{}, err
+	}
 	clock := sim.NewClock(0)
 	cfg := numa.DefaultConfig()
-	kind, err := o.Design.kind()
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Kind = kind
-	tuning, err := coalesce.ParseTuning(o.Frontend)
-	if err != nil {
-		return cfg, fmt.Errorf("mac3d: %w", err)
-	}
-	cfg.Warp = tuning.ApplyWarp(cfg.Warp)
-	cfg.MemCache = tuning.ApplyMemCache(cfg.MemCache)
-	cfg.Nodes = o.Nodes
-	cfg.CoresPerNode = o.CoresPerNode
+	cfg.Kind, cfg.MAC, cfg.Warp, cfg.MemCache = rc.Kind, rc.MAC, rc.Warp, rc.MemCache
+	cfg.HMC, cfg.Chaos, cfg.Retry = rc.HMC, rc.Chaos, rc.Retry
+	cfg.Nodes, cfg.CoresPerNode = o.Nodes, rc.Node.Cores
 	cfg.LinkLatency = clock.CyclesForNanos(o.LinkLatencyNs)
 	if o.InterleaveBytes != 0 {
 		cfg.InterleaveBytes = o.InterleaveBytes
@@ -251,30 +233,7 @@ func (o NUMAOptions) numaConfig() (numa.Config, error) {
 			MeshCols:      o.NoC.MeshCols,
 		}
 	}
-	cube, err := hmc.ParseCubeConfig(o.Cube)
-	if err != nil {
-		return cfg, fmt.Errorf("mac3d: %w", err)
-	}
-	cfg.HMC.Cube = cube
-	profile, err := chaos.ParseProfile(o.Chaos.Profile)
-	if err != nil {
-		return cfg, fmt.Errorf("mac3d: %w", err)
-	}
-	if o.Chaos.Seed != 0 {
-		profile.Seed = o.Chaos.Seed
-	}
-	cfg.Chaos = profile
-	if o.Retry.BackoffCycles < 0 {
-		return cfg, fmt.Errorf("mac3d: NUMAOptions.Retry.BackoffCycles %d is negative", o.Retry.BackoffCycles)
-	}
-	cfg.Retry = memreq.RetryPolicy{
-		MaxRetries: o.Retry.MaxRetries,
-		Backoff:    sim.Cycle(o.Retry.BackoffCycles),
-	}
-	if err := cfg.Validate(); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
 // NUMAReport summarizes a multi-node run.
@@ -356,18 +315,10 @@ func RunNUMA(opts NUMAOptions) (*NUMAReport, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	s, err := opts.Scale.internal()
+	tr, err := opts.runOptions().generate()
 	if err != nil {
 		return nil, err
 	}
-	tr, err := workloads.Generate(opts.Workload, workloads.Config{
-		Threads: opts.Threads, Seed: opts.Seed, Scale: s,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	clock := sim.NewClock(0)
 	cfg, err := opts.numaConfig()
 	if err != nil {
 		return nil, err
@@ -377,6 +328,7 @@ func RunNUMA(opts NUMAOptions) (*NUMAReport, error) {
 		return nil, err
 	}
 
+	clock := sim.NewClock(0)
 	rep := &NUMAReport{
 		Workload:         opts.Workload,
 		Nodes:            opts.Nodes,
@@ -405,47 +357,8 @@ func RunNUMA(opts NUMAOptions) (*NUMAReport, error) {
 			ChaosStallCycles:    chaosStalls,
 		}
 	}
-	if c := res.Chaos; c != nil {
-		profile, _ := chaos.ParseProfile(opts.Chaos.Profile)
-		if opts.Chaos.Seed != 0 {
-			profile.Seed = opts.Chaos.Seed
-		}
-		rep.Chaos = &ChaosReport{
-			Profile:          profile.String(),
-			DelayStorms:      c.DelayStorms,
-			DelayedResponses: c.DelayedResponses,
-			ReorderedBatches: c.ReorderedBatches,
-			FencesInjected:   c.FencesInjected,
-			FreezeCycles:     c.FreezeCycles,
-			VaultStalls:      c.VaultStalls,
-			LinkStalls:       c.LinkStalls,
-			CubeLinkStalls:   c.CubeLinkStalls,
-		}
-	}
-	if opts.Cube != "" {
-		// The cube string parsed successfully before the run started.
-		cube, _ := hmc.ParseCubeConfig(opts.Cube)
-		cr := &CubeReport{
-			Config:     cube.String(),
-			Topology:   cube.Topology,
-			PagePolicy: cube.PagePolicy,
-		}
-		for _, ns := range res.PerNode {
-			cr.RowHits += ns.Device.RowHits
-			cr.RowMisses += ns.Device.RowMisses
-			cr.RowConflicts += ns.Device.RowConflicts
-			if ns.Cube != nil {
-				cr.FabricSent += ns.Cube.Sent
-				cr.FabricDelivered += ns.Cube.Delivered
-				credit, chaosStalls := ns.Cube.StallCycles()
-				cr.FabricStallCycles += credit + chaosStalls
-			}
-		}
-		if total := cr.RowHits + cr.RowMisses + cr.RowConflicts; total > 0 {
-			cr.RowHitRate = float64(cr.RowHits) / float64(total)
-		}
-		rep.Cube = cr
-	}
+	rep.Chaos = newChaosReport(opts.Chaos, res.Chaos)
+	rep.Cube = newCubeReport(opts.Cube, res.PerNode)
 	for i, ns := range res.PerNode {
 		rep.PerNode = append(rep.PerNode, NUMANodeReport{
 			Node:                 i,

@@ -1,6 +1,9 @@
 package mac3d
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRunNUMADefaults(t *testing.T) {
 	rep, err := RunNUMA(NUMAOptions{Workload: "sg"})
@@ -51,16 +54,79 @@ func TestRunNUMAInterconnectCost(t *testing.T) {
 	}
 }
 
+// TestSharedOptionsValidatedAlike runs each row, set on the fields
+// NUMAOptions shares with RunOptions, through both validators: both
+// must reject it, each naming the field as its own type spells it.
+func TestSharedOptionsValidatedAlike(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts RunOptions
+		// field is the offending field's name in RunOptions, or ""
+		// when the error is not about one field.
+		field string
+	}{
+		{"missing workload", RunOptions{}, "Workload"},
+		{"unknown workload", RunOptions{Workload: "bogus"}, ""},
+		{"bad scale", RunOptions{Workload: "sg", Scale: Scale(9)}, ""},
+		{"bad design", RunOptions{Workload: "sg", Design: Design(42)}, ""},
+		{"bad frontend", RunOptions{Workload: "sg", Frontend: "bogus=1"}, ""},
+		{"bad cube", RunOptions{Workload: "sg", Cube: "torus"}, ""},
+		{"unknown chaos stressor", RunOptions{Workload: "sg", Chaos: ChaosOptions{Profile: "quake=0.5"}}, ""},
+		{"negative max retries", RunOptions{Workload: "sg", Retry: RetryOptions{MaxRetries: -1}}, "Retry.MaxRetries"},
+		{"negative backoff", RunOptions{Workload: "sg", Retry: RetryOptions{MaxRetries: 1, BackoffCycles: -5}}, "Retry.BackoffCycles"},
+		{"threads over bound", RunOptions{Workload: "sg", Threads: maxServiceUnits + 1}, "Threads"},
+		{"cores over bound", RunOptions{Workload: "sg", Cores: maxServiceUnits + 1}, "Cores"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := tc.opts
+			numaOpts := NUMAOptions{
+				Workload: o.Workload, Threads: o.Threads, Seed: o.Seed, Scale: o.Scale,
+				Design: o.Design, Frontend: o.Frontend, CoresPerNode: o.Cores, Cube: o.Cube,
+				Chaos: o.Chaos, Retry: o.Retry,
+			}
+			numaField := tc.field
+			if numaField == "Cores" {
+				numaField = "CoresPerNode"
+			}
+			for _, v := range []struct {
+				err  error
+				want string
+			}{
+				{o.Validate(), "RunOptions." + tc.field},
+				{numaOpts.Validate(), "NUMAOptions." + numaField},
+			} {
+				if v.err == nil {
+					t.Fatalf("accepted; want an error naming %q", v.want)
+				}
+				if tc.field != "" && !strings.Contains(v.err.Error(), v.want+" ") {
+					t.Fatalf("error %q does not name %s", v.err, v.want)
+				}
+			}
+			if _, err := RunNUMA(numaOpts); err == nil {
+				t.Fatal("RunNUMA accepted what Validate rejects")
+			}
+		})
+	}
+}
+
+// TestRunNUMAFrontendTuning: a Frontend string tunes each node's
+// frontend over its defaults, as it does for a single-node run.
+func TestRunNUMAFrontendTuning(t *testing.T) {
+	for _, tc := range []struct {
+		design   Design
+		frontend string
+	}{{DesignWarp, "lanes=16"}, {DesignMemCache, "split=0.5"}} {
+		if _, err := Run(RunOptions{Workload: "sg", Design: tc.design, Frontend: tc.frontend}); err != nil {
+			t.Fatalf("Run %v %s: %v", tc.design, tc.frontend, err)
+		}
+		if _, err := RunNUMA(NUMAOptions{Workload: "sg", Design: tc.design, Frontend: tc.frontend}); err != nil {
+			t.Fatalf("RunNUMA %v %s: %v", tc.design, tc.frontend, err)
+		}
+	}
+}
+
+// TestRunNUMAValidation covers the checks of the NUMA-only fields.
 func TestRunNUMAValidation(t *testing.T) {
-	if _, err := RunNUMA(NUMAOptions{}); err == nil {
-		t.Fatal("missing workload accepted")
-	}
-	if _, err := RunNUMA(NUMAOptions{Workload: "bogus"}); err == nil {
-		t.Fatal("unknown workload accepted")
-	}
-	if _, err := RunNUMA(NUMAOptions{Workload: "sg", Scale: Scale(9)}); err == nil {
-		t.Fatal("bad scale accepted")
-	}
 	// More threads per node than cores.
 	if _, err := RunNUMA(NUMAOptions{Workload: "sg", Threads: 8, Nodes: 2, CoresPerNode: 1}); err == nil {
 		t.Fatal("over-subscription accepted")
@@ -80,8 +146,8 @@ func TestRunNUMAValidation(t *testing.T) {
 	if _, err := RunNUMA(NUMAOptions{Workload: "sg", NoC: &NoCOptions{Topology: "ring", LinkLatencyNs: -1}}); err == nil {
 		t.Fatal("negative NoC latency accepted")
 	}
-	if _, err := RunNUMA(NUMAOptions{Workload: "sg", Chaos: ChaosOptions{Profile: "quake=0.5"}}); err == nil {
-		t.Fatal("unknown chaos stressor accepted")
+	if _, err := RunNUMA(NUMAOptions{Workload: "sg", Nodes: -1}); err == nil {
+		t.Fatal("negative node count accepted")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"mac3d/internal/chaos"
 	"mac3d/internal/cpu"
 	"mac3d/internal/hmc"
+	"mac3d/internal/numa"
 	"mac3d/internal/sim"
 )
 
@@ -340,46 +341,64 @@ func newRunReport(opts RunOptions, res *cpu.Result) RunReport {
 		}
 		rep.Audit = ar
 	}
-	if c := res.Chaos; c != nil {
-		// The profile parsed successfully before the run started, so
-		// re-parsing for the canonical rendering cannot fail here.
-		profile, _ := chaos.ParseProfile(opts.Chaos.Profile)
-		if opts.Chaos.Seed != 0 {
-			profile.Seed = opts.Chaos.Seed
-		}
-		rep.Chaos = &ChaosReport{
-			Profile:          profile.String(),
-			DelayStorms:      c.DelayStorms,
-			DelayedResponses: c.DelayedResponses,
-			ReorderedBatches: c.ReorderedBatches,
-			FencesInjected:   c.FencesInjected,
-			FreezeCycles:     c.FreezeCycles,
-			VaultStalls:      c.VaultStalls,
-			LinkStalls:       c.LinkStalls,
-			CubeLinkStalls:   c.CubeLinkStalls,
-		}
-	}
-	if opts.Cube != "" {
-		// The cube string parsed successfully before the run started.
-		cube, _ := hmc.ParseCubeConfig(opts.Cube)
-		cr := &CubeReport{
-			Config:       cube.String(),
-			Topology:     cube.Topology,
-			PagePolicy:   cube.PagePolicy,
-			RowHits:      res.Device.RowHits,
-			RowMisses:    res.Device.RowMisses,
-			RowConflicts: res.Device.RowConflicts,
-			RowHitRate:   res.Device.RowHitRate(),
-		}
-		if res.Cube != nil {
-			cr.FabricSent = res.Cube.Sent
-			cr.FabricDelivered = res.Cube.Delivered
-			credit, chaosStalls := res.Cube.StallCycles()
-			cr.FabricStallCycles = credit + chaosStalls
-		}
-		rep.Cube = cr
-	}
+	rep.Chaos = newChaosReport(opts.Chaos, res.Chaos)
+	rep.Cube = newCubeReport(opts.Cube, []numa.NodeStats{{Device: res.Device, Cube: res.Cube}})
 	return rep
+}
+
+// newChaosReport renders a run's chaos counters under the profile
+// opts selected; nil when no profile was active.
+func newChaosReport(opts ChaosOptions, c *chaos.Stats) *ChaosReport {
+	if c == nil {
+		return nil
+	}
+	// The profile parsed successfully before the run started, so
+	// re-parsing for the canonical rendering cannot fail here.
+	profile, _ := chaos.ParseProfile(opts.Profile)
+	if opts.Seed != 0 {
+		profile.Seed = opts.Seed
+	}
+	return &ChaosReport{
+		Profile:          profile.String(),
+		DelayStorms:      c.DelayStorms,
+		DelayedResponses: c.DelayedResponses,
+		ReorderedBatches: c.ReorderedBatches,
+		FencesInjected:   c.FencesInjected,
+		FreezeCycles:     c.FreezeCycles,
+		VaultStalls:      c.VaultStalls,
+		LinkStalls:       c.LinkStalls,
+		CubeLinkStalls:   c.CubeLinkStalls,
+	}
+}
+
+// newCubeReport sums the row-buffer and cube-fabric counts of a run's
+// devices, one per node; nil when spec kept the default cube.
+func newCubeReport(spec string, nodes []numa.NodeStats) *CubeReport {
+	if spec == "" {
+		return nil
+	}
+	// The cube string parsed successfully before the run started.
+	cube, _ := hmc.ParseCubeConfig(spec)
+	cr := &CubeReport{
+		Config:     cube.String(),
+		Topology:   cube.Topology,
+		PagePolicy: cube.PagePolicy,
+	}
+	for _, ns := range nodes {
+		cr.RowHits += ns.Device.RowHits
+		cr.RowMisses += ns.Device.RowMisses
+		cr.RowConflicts += ns.Device.RowConflicts
+		if ns.Cube != nil {
+			cr.FabricSent += ns.Cube.Sent
+			cr.FabricDelivered += ns.Cube.Delivered
+			credit, chaosStalls := ns.Cube.StallCycles()
+			cr.FabricStallCycles += credit + chaosStalls
+		}
+	}
+	if total := cr.RowHits + cr.RowMisses + cr.RowConflicts; total > 0 {
+		cr.RowHitRate = float64(cr.RowHits) / float64(total)
+	}
+	return cr
 }
 
 // String renders a compact one-line summary.
